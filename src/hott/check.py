@@ -22,15 +22,18 @@ Diagnostic rule names form a closed vocabulary:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .reduce import ReductionBudget, conv, whnf
 from .terms import (
+    CHECKABLE_ONLY,
     DEFINITION,
     EMPTY,
     EMPTY_CONTEXT,
     NAT,
+    REFL,
     STAR,
     UNIT,
     ZERO,
@@ -107,6 +110,20 @@ def _fail(rule: str, message: str, **kw) -> "CheckError":
     return CheckError(Diagnostic(rule, message, **kw))
 
 
+@contextmanager
+def _premise(rule: str, prefix: str, ctx: Context) -> Iterator[None]:
+    """Re-raise a failed premise of ``rule`` as that rule's error, keeping
+    the inner message (after ``prefix``) and the terms it found and
+    expected.  A context entry has no expected type, so ``context-entry``
+    reports the found term alone."""
+    try:
+        yield
+    except CheckError as e:
+        d = e.diagnostic
+        expected = None if rule == "context-entry" else d.expected
+        raise _fail(rule, prefix + d.message, found=d.found, expected=expected, context=ctx)
+
+
 def _budget(budget: Optional[ReductionBudget]) -> ReductionBudget:
     return budget if budget is not None else ReductionBudget()
 
@@ -169,11 +186,8 @@ def _infer(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> Term:
             raise _fail("unbound-constant", f"constant {t.name!r} is not declared", context=ctx)
         return decl.type
 
-    if isinstance(t, Universe):
-        return Universe(t.level + 1)
-
-    if isinstance(t, (Nat, Unit, Empty)):
-        return Universe(0)
+    if isinstance(t, (Universe, Nat, Unit, Empty, Pi, Sigma, Coprod, Id, W, Trunc)):
+        return Universe(_levels(sig, ctx, t, bud)[0])
 
     if isinstance(t, Zero):
         return NAT
@@ -182,35 +196,6 @@ def _infer(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> Term:
         return NAT
     if isinstance(t, Star):
         return UNIT
-
-    if isinstance(t, Pi):
-        l1 = _infer_universe(sig, ctx, t.domain, bud)
-        l2 = _infer_universe(sig, ctx.extend(t.domain), t.codomain, bud)
-        return Universe(max(l1, l2))
-
-    if isinstance(t, Sigma):
-        l1 = _infer_universe(sig, ctx, t.first, bud)
-        l2 = _infer_universe(sig, ctx.extend(t.first), t.second, bud)
-        return Universe(max(l1, l2))
-
-    if isinstance(t, Coprod):
-        l1 = _infer_universe(sig, ctx, t.left, bud)
-        l2 = _infer_universe(sig, ctx, t.right, bud)
-        return Universe(max(l1, l2))
-
-    if isinstance(t, Id):
-        l = _infer_universe(sig, ctx, t.type, bud)
-        _check(sig, ctx, t.lhs, t.type, bud)
-        _check(sig, ctx, t.rhs, t.type, bud)
-        return Universe(l)
-
-    if isinstance(t, W):
-        l1 = _infer_universe(sig, ctx, t.shapes, bud)
-        l2 = _infer_universe(sig, ctx.extend(t.shapes), t.arities, bud)
-        return Universe(max(l1, l2))
-
-    if isinstance(t, Trunc):
-        return Universe(_infer_universe(sig, ctx, t.type, bud))
 
     if isinstance(t, Lambda):
         _infer_universe(sig, ctx, t.domain, bud)
@@ -228,18 +213,12 @@ def _infer(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> Term:
     if isinstance(t, IndNat):
         _check(sig, ctx, t.scrutinee, NAT, bud)
         _infer_universe(sig, ctx.extend(NAT), t.motive, bud)
-        try:
+        with _premise("Nat-ind", "base case: ", ctx):
             _check(sig, ctx, t.base, subst(t.motive, 0, ZERO), bud)
-        except CheckError as e:
-            raise _fail("Nat-ind", f"base case: {e.diagnostic.message}",
-                        found=e.diagnostic.found, expected=e.diagnostic.expected, context=ctx)
         # step : (k : Nat) -> motive[k] -> motive[succ k]
         step_ty = Pi(NAT, Pi(t.motive, subst(shift(t.motive, 1, 2), 0, Succ(Var(1)))))
-        try:
+        with _premise("Nat-ind", "inductive step: ", ctx):
             _check(sig, ctx, t.step, step_ty, bud)
-        except CheckError as e:
-            raise _fail("Nat-ind", f"inductive step: {e.diagnostic.message}",
-                        found=e.diagnostic.found, expected=e.diagnostic.expected, context=ctx)
         return subst(t.motive, 0, t.scrutinee)
 
     if isinstance(t, IndSigma):
@@ -269,12 +248,9 @@ def _infer(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> Term:
         _infer_universe(sig, ctx.extend(sc_ty), t.motive, bud)
         left_ty = Pi(sc_ty.left, subst(shift(t.motive, 1, 1), 0, Inl(Var(0))))
         right_ty = Pi(sc_ty.right, subst(shift(t.motive, 1, 1), 0, Inr(Var(0))))
-        try:
+        with _premise("Coprod-ind", "branch: ", ctx):
             _check(sig, ctx, t.on_left, left_ty, bud)
             _check(sig, ctx, t.on_right, right_ty, bud)
-        except CheckError as e:
-            raise _fail("Coprod-ind", f"branch: {e.diagnostic.message}",
-                        found=e.diagnostic.found, expected=e.diagnostic.expected, context=ctx)
         return subst(t.motive, 0, t.scrutinee)
 
     if isinstance(t, IndEq):
@@ -284,11 +260,8 @@ def _infer(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> Term:
             Id(shift(base_ty, 0, 1), shift(t.base, 0, 1), Var(0))
         )
         _infer_universe(sig, motive_ctx, t.motive, bud)
-        try:
-            _check(sig, ctx, t.center, _inst2(t.motive, t.base, REFL_TERM), bud)
-        except CheckError as e:
-            raise _fail("Eq-ind", f"center: {e.diagnostic.message}",
-                        found=e.diagnostic.found, expected=e.diagnostic.expected, context=ctx)
+        with _premise("Eq-ind", "center: ", ctx):
+            _check(sig, ctx, t.center, _inst2(t.motive, t.base, REFL), bud)
         _check(sig, ctx, t.endpoint, base_ty, bud)
         _check(sig, ctx, t.path, Id(base_ty, t.base, t.endpoint), bud)
         return _inst2(t.motive, t.endpoint, t.path)
@@ -303,11 +276,8 @@ def _infer(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> Term:
         rec_dom = Pi(shift(b, 0, 1), subst(shift(t.motive, 1, 3), 0, App(Var(1), Var(0))))
         result = subst(shift(t.motive, 1, 3), 0, Tree(Var(2), Var(1)))
         step_ty = Pi(a, Pi(alpha_dom, Pi(rec_dom, result)))
-        try:
+        with _premise("W-ind", "inductive step: ", ctx):
             _check(sig, ctx, t.step, step_ty, bud)
-        except CheckError as e:
-            raise _fail("W-ind", f"inductive step: {e.diagnostic.message}",
-                        found=e.diagnostic.found, expected=e.diagnostic.expected, context=ctx)
         return subst(t.motive, 0, t.scrutinee)
 
     if isinstance(t, IndTrunc):
@@ -321,15 +291,12 @@ def _infer(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> Term:
             sc_ty,
             Pi(t.motive, Pi(shift(t.motive, 0, 1), Id(shift(t.motive, 0, 2), Var(1), Var(0)))),
         )
-        try:
+        with _premise("Trunc-ind", "", ctx):
             _check(sig, ctx, t.point, point_ty, bud)
             _check(sig, ctx, t.coherence, coh_ty, bud)
-        except CheckError as e:
-            raise _fail("Trunc-ind", e.diagnostic.message,
-                        found=e.diagnostic.found, expected=e.diagnostic.expected, context=ctx)
         return subst(t.motive, 0, t.scrutinee)
 
-    if isinstance(t, (Pair, Inl, Inr, Refl, Tree, TruncIn)):
+    if isinstance(t, CHECKABLE_ONLY):
         raise _fail(
             "cannot-synthesize",
             f"{type(t).__name__} is checkable only; an expected type is required",
@@ -338,9 +305,6 @@ def _infer(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> Term:
         )
 
     raise _fail("cannot-synthesize", f"no synthesis rule for {type(t).__name__}", context=ctx)
-
-
-REFL_TERM = Refl()
 
 
 def _inst2(motive: Term, endpoint: Term, path: Term) -> Term:
@@ -355,7 +319,8 @@ def _levels(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> tupl
     flexible and every level ``>= low`` otherwise.  Base types inhabit
     every universe; ``Universe(j)`` inhabits only ``j + 1``; composite
     formers take the image of ``max`` over their components; everything
-    else is pinned to its synthesized level.
+    else is pinned to its synthesized level.  ``_infer`` synthesizes
+    ``Universe(low)`` for every type former, so this is the only level rule.
     """
     if isinstance(t, (Nat, Unit, Empty)):
         return 0, True
@@ -434,11 +399,8 @@ def _check(sig: Signature, ctx: Context, t: Term, ty: Term, bud: ReductionBudget
             raise _fail("W-intro", "tree expects a tree type", found=t, expected=want, context=ctx)
         _check(sig, ctx, t.shape, want.shapes, bud)
         comp_ty = Pi(subst(want.arities, 0, t.shape), shift(want, 0, 1))
-        try:
+        with _premise("W-intro", "components: ", ctx):
             _check(sig, ctx, t.components, comp_ty, bud)
-        except CheckError as e:
-            raise _fail("W-intro", f"components: {e.diagnostic.message}",
-                        found=e.diagnostic.found, expected=e.diagnostic.expected, context=ctx)
         return
 
     if isinstance(t, TruncIn):
@@ -489,9 +451,6 @@ def check_context(
     bud = _budget(budget)
     prefix = EMPTY_CONTEXT
     for i, entry in enumerate(ctx.entries):
-        try:
+        with _premise("context-entry", f"entry {i}: ", prefix):
             _infer_universe(sig, prefix, entry, bud)
-        except CheckError as e:
-            raise _fail("context-entry", f"entry {i}: {e.diagnostic.message}",
-                        found=e.diagnostic.found, context=prefix)
         prefix = prefix.extend(entry)

@@ -6,22 +6,22 @@ FILES...`` additionally normalizes a closed expression in the resulting
 signature and prints it (Nat-typed results print as decimal numerals).
 
 Exit codes: 0 success; 1 type, conversion, assertion or budget failure;
-2 lexer or parser failure; 3 usage or I/O failure.  Results go to stdout,
-diagnostics to stderr.
+2 lexer or parser failure; 3 usage or I/O failure.  An unexpected
+exception is an internal error and exits 1.  Results go to stdout,
+diagnostics to stderr, one line per failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .check import CheckError, infer
 from .loader import AssertionFailed, FailExpected, ProcessOptions, process_module, render_value
-from .parser import LexError, ParseError, Parser, ResolveError, resolve_expr, tokenize
+from .parser import LexError, ParseError, Parser, ResolveError, parse_expression, resolve_expr, tokenize
 from .reduce import BudgetExhausted, ReductionBudget, normalize
 from .terms import DEFAULT_MAX_STEPS, EMPTY_CONTEXT, EMPTY_SIGNATURE, Signature
 
@@ -37,16 +37,51 @@ class RunConfig:
     jobs: int = 1
 
 
+class UsageError(Exception):
+    """A bad command line or an input file that cannot be read."""
+
+
+# The exit code of each failure a run can end in.
+EXIT_CODES: dict[type[Exception], int] = {
+    UsageError: 3,
+    LexError: 2,
+    ParseError: 2,
+    CheckError: 1,
+    ResolveError: 1,
+    AssertionFailed: 1,
+    FailExpected: 1,
+    BudgetExhausted: 1,
+}
+_FAILURES = tuple(EXIT_CODES)
+
+
+def _report(e: Exception, err) -> int:
+    err(f"error: {e}")
+    return next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind))
+
+
+def _validate(cfg: RunConfig) -> None:
+    if cfg.command == "check" and not cfg.paths:
+        raise UsageError("check requires at least one file")
+    if cfg.command == "eval" and cfg.expr is None:
+        raise UsageError("eval requires --expr")
+    if cfg.max_steps < 0:
+        raise UsageError(f"--max-steps must be at least 0, not {cfg.max_steps}")
+    if cfg.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, not {cfg.jobs}")
+    for path in cfg.paths:
+        if not Path(path).is_file():
+            raise UsageError(f"no such file: {path}")
+
+
 def _parse_file(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read {path}: not UTF-8 text") from None
+    except OSError as e:
+        raise UsageError(f"cannot read {path}: {e.strerror}") from None
     return Parser(tokenize(text)).parse_module(path)
-
-
-def _parse_all(cfg: RunConfig):
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            return list(pool.map(_parse_file, cfg.paths))
-    return [_parse_file(path) for path in cfg.paths]
 
 
 def _load(cfg: RunConfig, out, err) -> Signature:
@@ -57,60 +92,38 @@ def _load(cfg: RunConfig, out, err) -> Signature:
         out=out,
         err=err,
     )
+    # Every file is parsed before the first is checked, so a syntax error
+    # anywhere stops the run before any pragma prints.
+    modules = [_parse_file(path) for path in cfg.paths]
     sig = EMPTY_SIGNATURE
-    for module in _parse_all(cfg):
+    for module in modules:
         sig = process_module(sig, module, opts)
     return sig
 
 
-def cmd_check(cfg: RunConfig, out=print, err=None) -> int:
-    err = err or (lambda line: print(line, file=sys.stderr))
-    for path in cfg.paths:
-        if not Path(path).is_file():
-            err(f"error: no such file: {path}")
-            return 3
+def _stderr(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
+def cmd_check(cfg: RunConfig, out=print, err=_stderr) -> int:
     try:
+        _validate(cfg)
         _load(cfg, out, err)
-    except (LexError, ParseError) as e:
-        err(f"error: {e}")
-        return 2
-    except (CheckError, ResolveError, AssertionFailed, FailExpected, BudgetExhausted) as e:
-        err(f"error: {e}")
-        return 1
+    except _FAILURES as e:
+        return _report(e, err)
     return 0
 
 
-def cmd_eval(cfg: RunConfig, out=print, err=None) -> int:
-    err = err or (lambda line: print(line, file=sys.stderr))
-    if cfg.expr is None:
-        err("error: eval requires --expr")
-        return 3
-    for path in cfg.paths:
-        if not Path(path).is_file():
-            err(f"error: no such file: {path}")
-            return 3
+def cmd_eval(cfg: RunConfig, out=print, err=_stderr) -> int:
     try:
+        _validate(cfg)
         sig = _load(cfg, lambda line: None, err)  # pragma output suppressed
-        from .parser import parse_expression
-
-        surface = parse_expression(cfg.expr)
-    except (LexError, ParseError) as e:
-        err(f"error: {e}")
-        return 2
-    except (CheckError, ResolveError, AssertionFailed, FailExpected, BudgetExhausted) as e:
-        err(f"error: {e}")
-        return 1
-    try:
-        term = resolve_expr(surface, [], sig)
+        term = resolve_expr(parse_expression(cfg.expr), [], sig)
         budget = ReductionBudget(max_steps=cfg.max_steps)
         ty = infer(sig, EMPTY_CONTEXT, term, budget)
         value = normalize(sig, term, budget)
-    except BudgetExhausted as e:
-        err(f"error: {e}")
-        return 1
-    except (CheckError, ResolveError) as e:
-        err(f"error: {e}")
-        return 1
+    except _FAILURES as e:
+        return _report(e, err)
     opts = ProcessOptions(
         max_steps=cfg.max_steps, print_normal_forms=cfg.print_normal_forms
     )
@@ -134,7 +147,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--print-normal-forms", action="store_true",
                        help="also print constructor normal forms for Nat results")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parse input files with this many threads")
+                       help="accepted for compatibility (at least 1); files are parsed in order")
 
     check_p = sub.add_parser("check", help="check files and run their pragmas")
     common(check_p)
@@ -145,12 +158,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(cfg: RunConfig) -> int:
-    if cfg.command == "check":
-        if not cfg.paths:
-            print("error: check requires at least one file", file=sys.stderr)
-            return 3
-        return cmd_check(cfg)
-    return cmd_eval(cfg)
+    return cmd_check(cfg) if cfg.command == "check" else cmd_eval(cfg)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -179,7 +187,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             result.append(_dispatch(cfg))
         except RecursionError:
-            print("error: term nesting exceeds interpreter capacity", file=sys.stderr)
+            _stderr("error: term nesting exceeds interpreter capacity")
+            result.append(1)
+        except Exception as e:  # a bug, reported in one line with a defined code
+            _stderr(f"error: internal error: {type(e).__name__}: {e}")
             result.append(1)
 
     try:

@@ -12,6 +12,7 @@ unreconstructible binders stay readable; resolving it is an error.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -95,8 +96,14 @@ class Token:
     span: Span
 
 
+# ASCII only: str.isdigit and str.isalpha also accept other scripts.
+DIGITS = frozenset(string.digits)
+LETTERS = frozenset(string.ascii_letters)
+IDENT_CHARS = DIGITS | LETTERS | frozenset("_'")
+
+
 def _ident_char(c: str) -> bool:
-    return c.isalnum() or c in "_'"
+    return c in IDENT_CHARS
 
 
 def tokenize(text: str) -> list[Token]:
@@ -130,15 +137,15 @@ def tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c in DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in DIGITS:
                 j += 1
             tokens.append(Token("nat", text[i:j], span))
             col += j - i
             i = j
             continue
-        if c.isalpha() or c == "_":
+        if c in LETTERS or c == "_":
             j = i
             while j < n and (_ident_char(text[j]) or (text[j] == "-" and j + 1 < n and _ident_char(text[j + 1]))):
                 j += 1

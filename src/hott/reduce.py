@@ -12,7 +12,7 @@ instead of a hang.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .terms import (
     DEFAULT_MAX_STEPS,
@@ -39,6 +39,7 @@ from .terms import (
     Universe,
     Var,
     Zero,
+    rebuild,
     shift,
     subst,
     subterms,
@@ -181,11 +182,7 @@ def normalize(sig: Signature, t: Term, budget: ReductionBudget) -> Term:
     t = whnf(sig, t, budget, unfold=True)
     if not type(t).BINDERS:
         return t
-    children = [normalize(sig, sub, budget) for sub, _ in subterms(t)]
-    old = [getattr(t, f.name) for f in fields(t)]
-    if all(a is b for a, b in zip(old, children)):
-        return t
-    return type(t)(*children)
+    return rebuild(t, [normalize(sig, sub, budget) for sub, _ in subterms(t)])
 
 
 def conv(sig: Signature, t1: Term, t2: Term, budget: ReductionBudget) -> bool:

@@ -9,7 +9,7 @@ type checking are built on top of it.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar, Iterator, Optional
 
 # Recursion tracks term depth; numerals are unary, so evaluating even
@@ -30,9 +30,9 @@ class KernelBug(Exception):
 class Term:
     """Base class; one subclass per term former.
 
-    ``BINDERS`` aligns with the dataclass fields and records how many
-    variables each subterm binds.  Leaves (and non-term payloads such as
-    ``Var.index``) use an empty tuple.
+    ``BINDERS`` aligns with the dataclass fields (``__match_args__``) and
+    records how many variables each subterm binds.  Leaves (and non-term
+    payloads such as ``Var.index``) use an empty tuple.
     """
 
     BINDERS: ClassVar[tuple[int, ...]] = ()
@@ -259,16 +259,15 @@ CHECKABLE_ONLY = (Pair, Inl, Inr, Refl, Tree, TruncIn)
 
 def subterms(t: Term) -> Iterator[tuple[Term, int]]:
     """Yield each direct subterm together with the binders entering it."""
-    binders = type(t).BINDERS
-    if not binders:
-        return
-    for field, k in zip(fields(t), binders):
-        yield getattr(t, field.name), k
+    cls = type(t)
+    for name, k in zip(cls.__match_args__, cls.BINDERS):
+        yield getattr(t, name), k
 
 
-def _rebuild(t: Term, children: list[Term]) -> Term:
-    old = [getattr(t, f.name) for f in fields(t)]
-    if all(a is b for a, b in zip(old, children)):
+def rebuild(t: Term, children: list[Term]) -> Term:
+    """``t`` with its subterms replaced by ``children``; ``t`` itself when
+    every child is the subterm it replaces."""
+    if all(getattr(t, name) is c for name, c in zip(type(t).__match_args__, children)):
         return t
     return type(t)(*children)
 
@@ -279,7 +278,7 @@ def _map_vars(t: Term, depth: int, on_var) -> Term:
     if not type(t).BINDERS:
         return t
     children = [_map_vars(sub, depth + k, on_var) for sub, k in subterms(t)]
-    return _rebuild(t, children)
+    return rebuild(t, children)
 
 
 def shift(t: Term, cutoff: int, amount: int) -> Term:
@@ -320,10 +319,6 @@ def well_scoped(t: Term, depth: int) -> bool:
     if isinstance(t, Var):
         return t.index < depth
     return all(well_scoped(sub, depth + k) for sub, k in subterms(t))
-
-
-def is_closed(t: Term) -> bool:
-    return well_scoped(t, 0)
 
 
 def numeral(n: int) -> Term:

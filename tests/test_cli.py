@@ -5,6 +5,8 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import pytest
+
 from conftest import ROOT, stdlib_paths
 
 STDLIB = [str(p) for p in stdlib_paths()]
@@ -116,3 +118,55 @@ def test_jobs_flag_parses_concurrently():
     assert proc.returncode == 0
     single = run("check", *STDLIB)
     assert proc.stdout == single.stdout
+
+
+def assert_one_error_line(stderr: str) -> None:
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+    assert "Traceback" not in stderr
+
+
+def test_non_utf8_file_exit_3(tmp_path):
+    bad = tmp_path / "bad.hott"
+    bad.write_bytes(b"def x : Nat := zero\n-- \xff\n")
+    proc = run("check", str(bad))
+    assert proc.returncode == 3
+    assert_one_error_line(proc.stderr)
+    assert "cannot read" in proc.stderr
+
+
+def test_non_ascii_digit_exit_2(tmp_path):
+    bad = tmp_path / "bad.hott"
+    bad.write_text("#eval ²\n", encoding="utf-8")
+    proc = run("check", str(bad))
+    assert proc.returncode == 2
+    assert_one_error_line(proc.stderr)
+
+
+def test_negative_max_steps_is_usage_error():
+    proc = run("eval", "--max-steps", "-5", "--expr", "add 1 2", *STDLIB)
+    assert proc.returncode == 3
+    assert_one_error_line(proc.stderr)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(jobs):
+    proc = run("check", "--jobs", jobs, STDLIB[0])
+    assert proc.returncode == 3
+    assert_one_error_line(proc.stderr)
+
+
+def test_internal_error_one_line():
+    # A fresh interpreter, because main() raises the recursion limit and the
+    # thread stack size for the whole process.
+    script = (
+        "import sys\n"
+        "from hott import cli\n"
+        "def broken(*args):\n"
+        "    raise RuntimeError('boom')\n"
+        "cli.process_module = broken\n"
+        f"sys.exit(cli.main(['check', {STDLIB[0]!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, cwd=ROOT, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: internal error: RuntimeError: boom\n"

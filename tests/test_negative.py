@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
 from conftest import ROOT
 
-from hott.loader import fail_outcomes
-from hott.parser import PragmaFail, parse
+from hott.check import CheckError
+from hott.loader import fail_outcomes, process_module
+from hott.parser import PragmaFail, SurfaceModule, parse
 from hott.terms import EMPTY_SIGNATURE
 
 NEGATIVE = ROOT / "tests" / "negative"
@@ -30,6 +32,20 @@ EXPECTED_RULES = {
     ("rejections.hott", 68): "lambda-domain-mismatch",
     ("rejections.hott", 71): "assertion-failed",
     ("rejections.hott", 75): "fail-expected",
+    ("rejections.hott", 78): "Coprod-ind",
+    ("rejections.hott", 82): "W-ind",
+    ("rejections.hott", 89): "Trunc-ind",
+}
+
+# A failed premise of an eliminator or of tree is reported under the
+# rule's name, with the premise named before the inner message.
+EXPECTED_PREFIXES = {
+    ("rejections.hott", 23): "inductive step: ",
+    ("rejections.hott", 26): "base case: ",
+    ("rejections.hott", 38): "components: ",
+    ("rejections.hott", 65): "center: ",
+    ("rejections.hott", 78): "branch: ",
+    ("rejections.hott", 82): "inductive step: ",
 }
 
 
@@ -57,6 +73,23 @@ def test_every_fail_item_is_rejected():
 
 def test_rules_are_the_intended_ones():
     assert outcomes() == EXPECTED_RULES
+
+
+def test_premise_messages_name_the_premise():
+    messages = {}
+    for path in sorted(NEGATIVE.glob("*.hott")):
+        sig = EMPTY_SIGNATURE
+        for item in parse(path.read_text(), path.name).items:
+            key = (path.name, item.span[0])
+            if not isinstance(item, PragmaFail):
+                sig = process_module(sig, SurfaceModule((item,), path.name))
+            elif key in EXPECTED_PREFIXES:
+                with pytest.raises(CheckError) as e:
+                    process_module(sig, SurfaceModule((item.item,), path.name))
+                messages[key] = e.value.diagnostic.message
+    assert messages.keys() == EXPECTED_PREFIXES.keys()
+    for key, prefix in EXPECTED_PREFIXES.items():
+        assert messages[key].startswith(prefix), (key, messages[key])
 
 
 def test_cli_accepts_negative_corpus():

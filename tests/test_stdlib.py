@@ -4,9 +4,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from conftest import STDLIB, STDLIB_ORDER, load_stdlib, stdlib_paths
 
-from hott.check import check, infer_universe
+from hott.check import check, infer, infer_universe
 from hott.parser import parse_expression, resolve_expr
 from hott.reduce import ReductionBudget, conv, normalize
 from hott.terms import (
@@ -224,3 +226,16 @@ def test_corpus_eval_output_is_the_expected_golden():
         "1",      # one successor up
         "0",      # three successors wrap around in Fin 3
     ]
+
+
+@pytest.mark.parametrize(
+    "src, steps",
+    [("exp 2 10", 53_230), ("factorial 6", 36_033), ("fib 10", 2_888), ("triangle 30", 1_608)],
+)
+def test_reduction_steps_are_pinned(stdlib_sig, src, steps):
+    """Step counts are deterministic: any change in kernel work fails here."""
+    term = resolve_expr(parse_expression(src), [], stdlib_sig)
+    budget = ReductionBudget()
+    infer(stdlib_sig, EMPTY_CONTEXT, term, budget)
+    normalize(stdlib_sig, term, budget)
+    assert budget.steps_used == steps

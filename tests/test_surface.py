@@ -45,9 +45,10 @@ def test_tokenize_comment():
     assert kinds == ["Nat", "eof"]
 
 
-def test_tokenize_rejects_stray_character():
+@pytest.mark.parametrize("src", ["@", "²", "٣", "def café : Nat := 0"])
+def test_tokenize_rejects_stray_character(src):
     with pytest.raises(LexError):
-        tokenize("@")
+        tokenize(src)
 
 
 def test_tokenize_spans():
