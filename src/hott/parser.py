@@ -665,18 +665,18 @@ def resolve(module: SurfaceModule, sig) -> "Iterator":
     ``#fail`` stay unresolved: their rejection, which may be a resolution
     error, is observed by whoever executes them.
     """
-    names = {d.name for d in sig.declarations}
+    declared: set[str] = set()  # names of this module's earlier items
 
     def expr(e: SExpr) -> Term:
-        return resolve_expr(e, [], names)
+        return resolve_expr(e, [], lambda name: name in declared or name in sig)
 
     for item in module.items:
         if isinstance(item, DefItem):
             yield RDef(item.name, expr(item.type), expr(item.body), item.span)
-            names.add(item.name)
+            declared.add(item.name)
         elif isinstance(item, PostulateItem):
             yield RPostulate(item.name, expr(item.type), item.span)
-            names.add(item.name)
+            declared.add(item.name)
         elif isinstance(item, PragmaCheck):
             yield RCheck(expr(item.expr), expr(item.type), item.span)
         elif isinstance(item, PragmaEval):

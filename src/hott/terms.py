@@ -4,13 +4,21 @@ Every binder is positional: a subterm that "binds one variable" sees the
 bound variable as index 0, with all enclosing indices shifted up by one.
 The index-manipulation calculus (shift/subst) lives here; evaluation and
 type checking are built on top of it.
+
+``loose(t)`` caches on each node 1 + its highest free index (0 when
+closed), like Lean 4's ``looseBVarRange``, so shift and subst share every
+subterm none of whose indices can move instead of copying it.  The cache
+is an instance attribute outside the dataclass fields, so ``==``, ``hash``
+and ``repr`` ignore it; it is set with ``object.__setattr__`` rather than
+through ``t.__dict__``, which would give every node its own dict object.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, Optional
+from typing import ClassVar, Iterable, Iterator, Optional
 
 # Recursion tracks term depth; numerals are unary, so evaluating even
 # modest arithmetic needs more headroom than the interpreter default.
@@ -36,6 +44,7 @@ class Term:
     """
 
     BINDERS: ClassVar[tuple[int, ...]] = ()
+    _loose: ClassVar[Optional[int]] = None  # until ``loose`` caches it on the instance
 
 
 @dataclass(frozen=True)
@@ -272,13 +281,27 @@ def rebuild(t: Term, children: list[Term]) -> Term:
     return type(t)(*children)
 
 
-def _map_vars(t: Term, depth: int, on_var) -> Term:
+def loose(t: Term) -> int:
+    """One more than the highest free index of ``t``; 0 when ``t`` is closed."""
+    n = t._loose
+    if n is None:
+        n = t.index + 1 if isinstance(t, Var) else 0
+        for sub, k in subterms(t):  # a loop, not a generator: one frame per level
+            n = max(n, loose(sub) - k)
+        object.__setattr__(t, "_loose", n)
+    return n
+
+
+def _map_vars(t: Term, cutoff: int, depth: int, on_var) -> Term:
+    """``on_var`` applied to each index >= ``cutoff`` outside ``t``; the rest shared."""
+    if loose(t) <= cutoff + depth:
+        return t
     if isinstance(t, Var):
         return on_var(t, depth)
-    if not type(t).BINDERS:
-        return t
-    children = [_map_vars(sub, depth + k, on_var) for sub, k in subterms(t)]
-    return rebuild(t, children)
+    children = []
+    for sub, k in subterms(t):
+        children.append(_map_vars(sub, cutoff, depth + k, on_var))
+    return type(t)(*children)
 
 
 def shift(t: Term, cutoff: int, amount: int) -> Term:
@@ -291,34 +314,26 @@ def shift(t: Term, cutoff: int, amount: int) -> Term:
         return t
 
     def on_var(v: Var, depth: int) -> Term:
-        if v.index >= cutoff + depth:
-            new = v.index + amount
-            if new < 0:
-                raise KernelBug(f"index underflow shifting {v.index} by {amount}")
-            return Var(new)
-        return v
+        new = v.index + amount
+        if new < 0:
+            raise KernelBug(f"index underflow shifting {v.index} by {amount}")
+        return Var(new)
 
-    return _map_vars(t, 0, on_var)
+    return _map_vars(t, cutoff, 0, on_var)
 
 
 def subst(t: Term, j: int, s: Term) -> Term:
     """Replace index ``j`` by ``s`` and close the gap above it."""
 
     def on_var(v: Var, depth: int) -> Term:
-        if v.index == j + depth:
-            return shift(s, 0, depth)
-        if v.index > j + depth:
-            return Var(v.index - 1)
-        return v
+        return shift(s, 0, depth) if v.index == j + depth else Var(v.index - 1)
 
-    return _map_vars(t, 0, on_var)
+    return _map_vars(t, j, 0, on_var)
 
 
 def well_scoped(t: Term, depth: int) -> bool:
     """True iff every variable index is below ``depth`` plus local binders."""
-    if isinstance(t, Var):
-        return t.index < depth
-    return all(well_scoped(sub, depth + k) for sub, k in subterms(t))
+    return loose(t) <= depth
 
 
 def numeral(n: int) -> Term:
@@ -380,30 +395,45 @@ class Declaration:
             raise KernelBug(f"{self.kind} {self.name} must not have a body")
 
 
-@dataclass(frozen=True)
 class Signature:
-    """Immutable ordered global environment; extension copies."""
+    """Immutable ordered global environment.
 
-    declarations: tuple[Declaration, ...] = ()
+    Signatures on one line of extensions share an append-only store (a
+    declaration list and a name -> (position, declaration) index); each sees
+    only its first ``_size`` entries.  Only the newest of a line appends in
+    place; extending an older or an empty one (``EMPTY_SIGNATURE`` is shared
+    by every caller) copies its prefix into a new store first.
+    """
+
+    __slots__ = ("_decls", "_index", "_size")
+
+    def __init__(self, declarations: Iterable[Declaration] = ()) -> None:
+        self._decls = list(declarations)
+        self._index = {d.name: (i, d) for i, d in enumerate(self._decls)}
+        self._size = len(self._decls)
+
+    @property
+    def declarations(self) -> tuple[Declaration, ...]:
+        return tuple(self._decls[: self._size])
 
     def extend(self, decl: Declaration) -> "Signature":
         if self.lookup(decl.name) is not None:
             raise KernelBug(f"duplicate declaration {decl.name}")
-        return Signature(self.declarations + (decl,))
+        with _APPENDING:  # check-then-append on a store other threads may share
+            line = self if 0 < self._size == len(self._decls) else Signature(self.declarations)
+            line._index[decl.name] = (line._size, decl)
+            line._decls.append(decl)
+        new = object.__new__(Signature)
+        new._decls, new._index, new._size = line._decls, line._index, line._size + 1
+        return new
 
     def lookup(self, name: str) -> Optional[Declaration]:
-        return self._index().get(name)
+        pos, decl = self._index.get(name, (self._size, None))
+        return decl if pos < self._size else None
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index()
-
-    def _index(self) -> dict[str, Declaration]:
-        # Frozen dataclass: cache on the instance via object.__setattr__.
-        cached = self.__dict__.get("_by_name")
-        if cached is None:
-            cached = {d.name: d for d in self.declarations}
-            object.__setattr__(self, "_by_name", cached)
-        return cached
+        return self._index.get(name, (self._size,))[0] < self._size
 
 
+_APPENDING = threading.Lock()
 EMPTY_SIGNATURE = Signature()

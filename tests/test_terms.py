@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hott import terms
 from hott.terms import (
     NAT,
     ZERO,
@@ -17,9 +20,11 @@ from hott.terms import (
     Lambda,
     Signature,
     Succ,
+    Term,
     Var,
     numeral,
     as_int,
+    loose,
     shift,
     subst,
     well_scoped,
@@ -157,3 +162,154 @@ def test_random_terms_are_scoped(seed):
     t = random_scoped_term(rng, depth, 16)
     assert well_scoped(t, depth)
     assert well_scoped(shift(t, 0, 3), depth + 3)
+
+
+# -- loose-index bounds against a full-traversal reference -------------------
+#
+# The reference code below is the substitution calculus without the cached
+# bound: it visits every node and rebuilds every term former it passes.
+
+
+def _children(t: Term):
+    # dataclasses.fields, not terms.subterms: an independent route to the children
+    return [(getattr(t, f.name), k) for f, k in zip(dataclasses.fields(t), type(t).BINDERS)]
+
+
+def _naive_loose(t: Term, depth: int = 0) -> int:
+    if isinstance(t, Var):
+        return t.index - depth + 1 if t.index >= depth else 0
+    return max((_naive_loose(sub, depth + k) for sub, k in _children(t)), default=0)
+
+
+def _ref_map(t: Term, depth: int, on_var) -> Term:
+    if isinstance(t, Var):
+        return on_var(t, depth)
+    if not type(t).BINDERS:
+        return t
+    return type(t)(*[_ref_map(sub, depth + k, on_var) for sub, k in _children(t)])
+
+
+def _ref_shift(t: Term, cutoff: int, amount: int) -> Term:
+    return _ref_map(t, 0, lambda v, d: Var(v.index + amount) if v.index >= cutoff + d else v)
+
+
+def _ref_subst(t: Term, j: int, s: Term) -> Term:
+    def on_var(v: Var, d: int) -> Term:
+        if v.index == j + d:
+            return _ref_shift(s, 0, d)
+        return Var(v.index - 1) if v.index > j + d else v
+
+    return _ref_map(t, 0, on_var)
+
+
+def _fresh(t: Term) -> Term:
+    """An equal copy of ``t`` with no node shared, so no bound is cached yet."""
+    return dataclasses.replace(t) if not type(t).BINDERS else type(t)(*[_fresh(sub) for sub, _ in _children(t)])
+
+
+def _assert_matches_reference(t: Term) -> None:
+    assert loose(_fresh(t)) == _naive_loose(t), t
+    assert loose(t) == _naive_loose(t), t
+    s = Succ(Var(1))
+    for c in range(4):
+        for a in (1, 2):
+            assert shift(t, c, a) == _ref_shift(t, c, a), (t, c, a)
+        assert subst(t, c, s) == _ref_subst(t, c, s), (t, c)
+        if loose(t) <= c:
+            assert shift(t, c, 1) is t
+            assert subst(t, c, s) is t
+        assert well_scoped(t, c) == (_naive_loose(t) <= c)
+
+
+def _every_former_over_vars():
+    """Each binding term former with variables of several indices as children,
+    so every binder count in ``BINDERS`` (0, 1 and 2) is exercised."""
+    formers = [cls for cls in vars(terms).values()
+               if isinstance(cls, type) and issubclass(cls, Term) and cls.BINDERS]
+    for cls in formers:
+        for shiftby in range(3):
+            yield cls(*[Var((i + shiftby) % 4) for i in range(len(cls.BINDERS))])
+
+
+def test_loose_shift_subst_match_reference_enumerated():
+    for t in RAW_TERMS:
+        _assert_matches_reference(t)
+    for t in _every_former_over_vars():
+        _assert_matches_reference(t)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=24))
+def test_loose_shift_subst_match_reference_random(seed, fuel):
+    rng = random.Random(seed)
+    t = random_scoped_term(rng, rng.randrange(0, 4), fuel)
+    _assert_matches_reference(t)
+
+
+def test_loose_is_invisible_to_equality():
+    t = Lambda(NAT, App(Var(1), Var(0)))
+    assert loose(t) == 1
+    fresh = Lambda(NAT, App(Var(1), Var(0)))
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    assert "_loose" not in {f.name for f in dataclasses.fields(t)}
+
+
+def test_closed_deep_numeral_is_shared_on_main_thread():
+    # The bound is computed one frame per level, so it adds no depth limit
+    # below the traversal's own; closed terms are then never traversed.
+    assert threading.current_thread() is threading.main_thread()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(12_000)  # the limit importing hott.terms sets
+    try:
+        n = numeral(10_000)
+        assert shift(n, 0, 1) is n
+        assert subst(n, 0, ZERO) is n
+        body = subst(Lambda(NAT, App(Var(1), Var(1))), 0, n)
+        assert body.body.fn is n and body.body.arg is n
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# -- signatures sharing one store ------------------------------------------
+
+
+def _decl(name: str, body: Term = ZERO) -> Declaration:
+    return Declaration(name, NAT, body)
+
+
+def _names(sig: Signature) -> list[str]:
+    return [d.name for d in sig.declarations]
+
+
+def test_signature_branches_do_not_see_each_other():
+    base = Signature().extend(_decl("a"))
+    left = base.extend(_decl("l"))
+    right = base.extend(_decl("r"))  # base is no longer the newest: copies its prefix
+    left2 = left.extend(_decl("m"))
+    for sig, absent in ((base, "lrm"), (left, "rm"), (right, "lm"), (left2, "r")):
+        for name in absent:
+            assert name not in sig and sig.lookup(name) is None, (name, _names(sig))
+    assert _names(base) == ["a"]
+    assert _names(left) == ["a", "l"]
+    assert _names(left2) == ["a", "l", "m"]
+    assert _names(right) == ["a", "r"]
+    # a sibling may declare a name another branch already holds
+    again = base.extend(_decl("l", Succ(ZERO)))
+    assert again.lookup("l").body == Succ(ZERO)
+    assert left.lookup("l").body == ZERO and left2.lookup("l").body == ZERO
+    assert "l" in again and "l" in left and "a" in right
+
+
+def test_signature_duplicates_raise_on_every_branch():
+    base = Signature().extend(_decl("a"))
+    left = base.extend(_decl("l"))
+    for sig, name in ((left, "a"), (left, "l"), (base, "a")):
+        with pytest.raises(KernelBug):
+            sig.extend(_decl(name))
+    assert _names(left) == ["a", "l"] and _names(base) == ["a"]
+
+
+def test_signature_from_declarations():
+    sig = Signature((_decl("a"), _decl("b")))
+    assert _names(sig) == ["a", "b"] and "b" in sig and sig.lookup("a") == _decl("a")
+    assert _names(sig.extend(_decl("c"))) == ["a", "b", "c"]
+    assert Signature().declarations == ()
