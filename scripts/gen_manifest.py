@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hott.parser import DefItem, PostulateItem, PragmaFail, parse, resolve_expr
+from hott.parser import DefItem, PostulateItem, parse, resolve_expr
 from hott.pretty import pretty
 
 STDLIB_ORDER = [
@@ -30,20 +30,26 @@ STDLIB_ORDER = [
 ]
 
 
-def main() -> None:
-    root = Path(__file__).resolve().parents[1] / "stdlib"
+STDLIB = Path(__file__).resolve().parents[1] / "stdlib"
+
+
+def manifest_lines() -> list[str]:
+    """The lines of ``stdlib/MANIFEST``, from the sources and the printer."""
     names: set[str] = set()
     lines = []
     for filename in STDLIB_ORDER:
-        module = parse((root / filename).read_text(), filename)
+        module = parse((STDLIB / filename).read_text(), filename)
         for item in module.items:
-            if isinstance(item, PragmaFail):
-                continue
             if isinstance(item, (DefItem, PostulateItem)):
                 ty = resolve_expr(item.type, [], names)
                 lines.append(f"{item.name}\t{filename}\t{pretty(ty)}")
                 names.add(item.name)
-    (root / "MANIFEST").write_text("\n".join(lines) + "\n")
+    return lines
+
+
+def main() -> None:
+    lines = manifest_lines()
+    (STDLIB / "MANIFEST").write_text("".join(line + "\n" for line in lines))
     print(f"wrote {len(lines)} entries")
 
 

@@ -122,12 +122,11 @@ def cmd_eval(cfg: RunConfig, out=print, err=_stderr) -> int:
         budget = ReductionBudget(max_steps=cfg.max_steps)
         ty = infer(sig, EMPTY_CONTEXT, term, budget)
         value = normalize(sig, term, budget)
+        opts = ProcessOptions(max_steps=cfg.max_steps, print_normal_forms=cfg.print_normal_forms)
+        lines = render_value(sig, value, ty, opts)  # may unfold the type: budgeted too
     except _FAILURES as e:
         return _report(e, err)
-    opts = ProcessOptions(
-        max_steps=cfg.max_steps, print_normal_forms=cfg.print_normal_forms
-    )
-    for line in render_value(sig, value, ty, opts):
+    for line in lines:
         out(line)
     return 0
 
@@ -143,7 +142,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS,
                        help="reduction step budget (default %(default)s)")
         p.add_argument("--trace", action="store_true",
-                       help="log one line per declaration to stderr")
+                       help="log one line per item to stderr")
         p.add_argument("--print-normal-forms", action="store_true",
                        help="also print constructor normal forms for Nat results")
         p.add_argument("--jobs", type=int, default=1,
@@ -178,9 +177,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     # Terms are trees whose depth the recursion tracks; a worker thread
     # with a large stack lifts the ceiling far beyond the main thread's.
+    # Both settings are process-wide, so the caller gets its own back.
     import threading
 
     result: list[int] = []
+    old_limit = sys.getrecursionlimit()
 
     def work() -> None:
         sys.setrecursionlimit(200_000)
@@ -194,12 +195,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             result.append(1)
 
     try:
-        threading.stack_size(512 * 1024 * 1024)
+        old_stack = threading.stack_size(512 * 1024 * 1024)
     except (ValueError, RuntimeError):
-        pass
+        old_stack = None
     worker = threading.Thread(target=work)
     worker.start()
     worker.join()
+    sys.setrecursionlimit(old_limit)
+    if old_stack is not None:
+        threading.stack_size(old_stack)
     return result[0]
 
 

@@ -27,7 +27,7 @@ from .parser import (
     resolve,
 )
 from .pretty import pretty
-from .reduce import ReductionBudget, conv, normalize, whnf
+from .reduce import BudgetExhausted, ReductionBudget, conv, normalize, whnf
 from .terms import (
     DEFAULT_MAX_STEPS,
     DEFINITION,
@@ -153,6 +153,18 @@ def attempt_item(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Opt
 def _stamp_span(exc: Exception, span) -> None:
     if isinstance(exc, CheckError) and exc.diagnostic.span is None:
         exc.diagnostic.span = span
+    elif isinstance(exc, BudgetExhausted):
+        exc.args = (f"{span[0]}:{span[1]}: {exc}",)
+
+
+def _label(record) -> str:
+    """How ``--trace`` names a record: a declaration by its name, a pragma
+    by its directive."""
+    if isinstance(record, (RDef, RPostulate)):
+        return record.name
+    if isinstance(record, RAssert):
+        return "#assert-eq" if record.equal else "#assert-neq"
+    return {RCheck: "#check", REval: "#eval", RFail: "#fail"}[type(record)]
 
 
 def process_module(
@@ -163,13 +175,12 @@ def process_module(
         started = time.perf_counter()
         try:
             sig = execute(sig, record, opts)
-        except CheckError as e:
+        except (CheckError, BudgetExhausted) as e:
             _stamp_span(e, record.span)
             raise
         if opts.trace:
-            label = getattr(record, "name", type(record).__name__)
             elapsed = (time.perf_counter() - started) * 1000.0
-            opts.err(f"{module.path}: {label} ok ({elapsed:.1f} ms)")
+            opts.err(f"{module.path}:{record.span[0]}: {_label(record)} ok ({elapsed:.1f} ms)")
     return sig
 
 

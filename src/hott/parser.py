@@ -1,9 +1,12 @@
 """Concrete syntax: lexer, parser and name resolution for ``.hott`` files.
 
 The grammar is ASCII-only.  Line comments run from ``--`` to end of line.
-Eliminators are keywords taking the motive first as an ordinary function
-expression; resolution wraps that function into the kernel's positional
-binder form.  Numerals desugar to iterated ``succ zero``; a bare ``succ``
+``CONSTANTS`` and ``FORMS`` are the one place a keyword former is spelled:
+lexing, parsing, resolution and printing (``pretty``) all read them.  A
+keyword former takes its fields in order, as atoms; eliminators take the
+motive first.  A field that binds ``k`` variables is written as a
+``k``-argument function, which resolution applies to those variables
+(``_binder``).  Numerals desugar to iterated ``succ zero``; a bare ``succ``
 in argument position desugars to ``\\(n : Nat). succ n``.
 
 ``_`` is accepted by the parser only so that printed terms with
@@ -76,13 +79,41 @@ class ResolveError(Exception):
         self.span = span
 
 
-KEYWORDS = {
-    "def", "postulate", "in",
-    "Sig", "Type", "Nat", "Unit", "Empty", "Id", "W", "Trunc",
-    "pair", "inl", "inr", "refl", "zero", "succ", "star", "tree", "eta",
-    "ind-nat", "ind-sigma", "ind-sum", "ind-unit", "ind-empty",
-    "ind-eq", "ind-w", "ind-trunc",
+# Keyword -> the constant it denotes.
+CONSTANTS: dict[str, Term] = {
+    "Nat": NAT, "Unit": UNIT, "Empty": EMPTY, "zero": ZERO, "star": STAR, "refl": REFL,
 }
+
+# Keyword -> (term former, its fields in surface order); the arity is the
+# number of fields.
+FORMS: dict[str, tuple[type[Term], tuple[str, ...]]] = {
+    "succ": (Succ, ("pred",)),
+    "pair": (Pair, ("fst", "snd")),
+    "inl": (Inl, ("value",)),
+    "inr": (Inr, ("value",)),
+    "eta": (TruncIn, ("value",)),
+    "tree": (Tree, ("shape", "components")),
+    "Trunc": (Trunc, ("type",)),
+    "W": (W, ("shapes", "arities")),
+    "Id": (Id, ("type", "lhs", "rhs")),
+    "ind-nat": (IndNat, ("motive", "base", "step", "scrutinee")),
+    "ind-sigma": (IndSigma, ("motive", "step", "scrutinee")),
+    "ind-unit": (IndUnit, ("motive", "point", "scrutinee")),
+    "ind-empty": (IndEmpty, ("motive", "scrutinee")),
+    "ind-sum": (IndCoprod, ("motive", "on_left", "on_right", "scrutinee")),
+    "ind-eq": (IndEq, ("motive", "base", "center", "endpoint", "path")),
+    "ind-w": (IndW, ("motive", "step", "scrutinee")),
+    "ind-trunc": (IndTrunc, ("motive", "point", "coherence", "scrutinee")),
+}
+
+# Keyword -> each field of its former, in surface order, with the number
+# of variables the field binds.
+FORM_FIELDS = {
+    head: tuple((f, dict(zip(cls.__match_args__, cls.BINDERS))[f]) for f in fields)
+    for head, (cls, fields) in FORMS.items()
+}
+
+KEYWORDS = {"def", "postulate", "in", "Sig", "Type", *CONSTANTS, *FORMS}
 
 DIRECTIVES = {"#check", "#eval", "#assert-eq", "#assert-neq", "#fail"}
 
@@ -196,7 +227,7 @@ class SType(SExpr):
 
 @dataclass(frozen=True)
 class SConstant(SExpr):
-    which: str  # Nat | Unit | Empty | zero | star | refl
+    which: str  # a key of CONSTANTS, or succ
     span: Span = (0, 0)
 
 
@@ -238,8 +269,8 @@ class SApp(SExpr):
 
 @dataclass(frozen=True)
 class SForm(SExpr):
-    """A fully applied keyword former: succ, pair, inl, inr, tree, eta,
-    Trunc, W, Id, coproduct ``+`` (as "sum"), or an eliminator."""
+    """A fully applied keyword former (a key of ``FORMS``), or coproduct
+    ``+`` (as "sum")."""
 
     head: str
     args: tuple[SExpr, ...]
@@ -298,24 +329,6 @@ class PragmaFail(SurfaceItem):
 class SurfaceModule:
     items: tuple[SurfaceItem, ...]
     path: str = "<input>"
-
-
-ELIM_ARITY = {
-    "ind-nat": 4,
-    "ind-sigma": 3,
-    "ind-unit": 3,
-    "ind-empty": 2,
-    "ind-sum": 4,
-    "ind-eq": 5,
-    "ind-w": 3,
-    "ind-trunc": 4,
-}
-
-_FORM_ARITY = {
-    "succ": 1, "inl": 1, "inr": 1, "eta": 1, "Trunc": 1,
-    "pair": 2, "tree": 2, "W": 2, "Id": 3,
-    **ELIM_ARITY,
-}
 
 
 class Parser:
@@ -448,10 +461,7 @@ class Parser:
             return SForm("Id", (ty, left, right), span)
         return left
 
-    _ATOM_STARTERS = {
-        "ident", "nat", "hole", "(", "zero", "star", "refl", "succ",
-        "Nat", "Unit", "Empty", "Type",
-    }
+    _ATOM_STARTERS = {"ident", "nat", "hole", "(", "succ", "Type", *CONSTANTS}
 
     def parse_app(self) -> SExpr:
         head = self.parse_unit()
@@ -462,10 +472,9 @@ class Parser:
 
     def parse_unit(self) -> SExpr:
         tok = self.peek()
-        if tok.kind in _FORM_ARITY and not (tok.kind == "succ" and self.peek(1).kind not in self._ATOM_STARTERS):
+        if tok.kind in FORMS and not (tok.kind == "succ" and self.peek(1).kind not in self._ATOM_STARTERS):
             self.next()
-            arity = _FORM_ARITY[tok.kind]
-            args = tuple(self.parse_atom() for _ in range(arity))
+            args = tuple(self.parse_atom() for _ in FORMS[tok.kind][1])
             return SForm(tok.kind, args, tok.span)
         return self.parse_atom()
 
@@ -480,12 +489,9 @@ class Parser:
         if tok.kind == "hole":
             self.next()
             return SHole(tok.span)
-        if tok.kind in ("Nat", "Unit", "Empty", "zero", "star", "refl"):
+        if tok.kind in CONSTANTS or tok.kind == "succ":  # bare succ: the successor function
             self.next()
             return SConstant(tok.kind, tok.span)
-        if tok.kind == "succ":
-            self.next()
-            return SConstant("succ", tok.span)  # bare successor function
         if tok.kind == "Type":
             self.next()
             lvl = self.expect("nat")
@@ -513,12 +519,13 @@ def parse_expression(text: str) -> SExpr:
 # Name resolution
 
 
-def _motive1(fn: Term) -> Term:
-    return App(shift(fn, 0, 1), Var(0))
-
-
-def _motive2(fn: Term) -> Term:
-    return App(App(shift(fn, 0, 2), Var(1)), Var(0))
+def _binder(fn: Term, k: int) -> Term:
+    """The field binding ``k`` variables that the ``k``-argument function
+    ``fn`` denotes: ``fn^k`` applied to ``Var(k-1) ... Var(0)``."""
+    t = shift(fn, 0, k)
+    for i in reversed(range(k)):
+        t = App(t, Var(i))
+    return t
 
 
 def resolve_expr(e: SExpr, env: list[str], names) -> Term:
@@ -545,13 +552,9 @@ def resolve_expr(e: SExpr, env: list[str], names) -> Term:
         if isinstance(e, SHole):
             raise ResolveError("'_' is a printing placeholder, not an expression", e.span)
         if isinstance(e, SConstant):
-            simple = {"Nat": NAT, "Unit": UNIT, "Empty": EMPTY,
-                      "zero": ZERO, "star": STAR, "refl": REFL}
-            if e.which in simple:
-                return simple[e.which]
             if e.which == "succ":
                 return Lambda(NAT, Succ(Var(0)))
-            raise ResolveError(f"unknown constant {e.which!r}", e.span)
+            return CONSTANTS[e.which]
         if isinstance(e, SLam):
             dom = go(e.domain, env)
             return Lambda(dom, go(e.body, env + [e.var]))
@@ -566,45 +569,10 @@ def resolve_expr(e: SExpr, env: list[str], names) -> Term:
         if isinstance(e, SApp):
             return App(go(e.fn, env), go(e.arg, env))
         if isinstance(e, SForm):
-            args = [go(a, env) for a in e.args]
-            head = e.head
-            if head == "succ":
-                return Succ(args[0])
-            if head == "pair":
-                return Pair(args[0], args[1])
-            if head == "inl":
-                return Inl(args[0])
-            if head == "inr":
-                return Inr(args[0])
-            if head == "eta":
-                return TruncIn(args[0])
-            if head == "tree":
-                return Tree(args[0], args[1])
-            if head == "Trunc":
-                return Trunc(args[0])
-            if head == "sum":
-                return Coprod(args[0], args[1])
-            if head == "W":
-                return W(args[0], _motive1(args[1]))
-            if head == "Id":
-                return Id(args[0], args[1], args[2])
-            if head == "ind-nat":
-                return IndNat(_motive1(args[0]), args[1], args[2], args[3])
-            if head == "ind-sigma":
-                return IndSigma(_motive1(args[0]), args[1], args[2])
-            if head == "ind-unit":
-                return IndUnit(_motive1(args[0]), args[1], args[2])
-            if head == "ind-empty":
-                return IndEmpty(_motive1(args[0]), args[1])
-            if head == "ind-sum":
-                return IndCoprod(_motive1(args[0]), args[1], args[2], args[3])
-            if head == "ind-eq":
-                return IndEq(args[1], _motive2(args[0]), args[2], args[3], args[4])
-            if head == "ind-w":
-                return IndW(_motive1(args[0]), args[1], args[2])
-            if head == "ind-trunc":
-                return IndTrunc(_motive1(args[0]), args[1], args[2], args[3])
-            raise ResolveError(f"unknown form {head!r}", e.span)
+            if e.head == "sum":  # ``+`` is not a keyword
+                return Coprod(go(e.args[0], env), go(e.args[1], env))
+            cls = FORMS[e.head][0]
+            return cls(**{f: _binder(go(a, env), k) for (f, k), a in zip(FORM_FIELDS[e.head], e.args)})
         raise ResolveError(f"unresolvable expression {e!r}", (0, 0))
 
     return go(e, env)

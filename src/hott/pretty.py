@@ -1,48 +1,36 @@
 """Pretty-printing core terms back to concrete syntax.
 
 Printing inverts resolution: re-parsing and re-resolving printed output
-yields a structurally equal term.  Motive binders produced by the
-resolver have the shape ``f^1 0`` and print as ``f``; binders that lost
-that shape print as a lambda whose domain is reconstructed when the
-eliminator fixes it (Nat, Unit, Empty) and as the placeholder ``_``
+yields a structurally equal term.  Keyword formers print from the inverse
+of ``parser.CONSTANTS`` and ``parser.FORMS``.  A field binding ``k``
+variables that has the resolver's shape ``f^k (k-1) ... 0`` prints as
+``f``; one that lost that shape prints as a ``k``-argument lambda whose
+first domain is reconstructed when the former fixes it (Nat, Unit, Empty
+for their eliminators, the shapes for ``W``) and is the placeholder ``_``
 otherwise.
 """
 
 from __future__ import annotations
 
+from .parser import CONSTANTS, FORM_FIELDS, FORMS
 from .terms import (
+    EMPTY,
+    NAT,
+    UNIT,
     App,
     Const,
     Coprod,
-    Empty,
-    Id,
-    IndCoprod,
     IndEmpty,
-    IndEq,
     IndNat,
-    IndSigma,
-    IndTrunc,
     IndUnit,
-    IndW,
-    Inl,
-    Inr,
     Lambda,
-    Nat,
-    Pair,
     Pi,
-    Refl,
     Sigma,
-    Star,
     Succ,
     Term,
-    Tree,
-    Trunc,
-    TruncIn,
-    Unit,
     Universe,
     Var,
     W,
-    Zero,
     as_int,
     shift,
     subterms,
@@ -67,17 +55,38 @@ def _const_names(t: Term) -> set[str]:
     return names
 
 
-def _uncontract(binder: Term) -> Term | None:
-    """Invert the resolver's motive wrapping ``App(f^1, Var 0)``."""
-    if isinstance(binder, App) and binder.arg == Var(0) and not _uses_var0(binder.fn):
-        return shift(binder.fn, 1, -1)
-    return None
+# Former -> its keyword and ``FORM_FIELDS`` entry.
+_KEYWORDS = {FORMS[head][0]: (head, fields) for head, fields in FORM_FIELDS.items()}
+_CONSTANT_NAMES = {type(t): name for name, t in CONSTANTS.items()}
+
+# Former -> the domain of the variable its one-variable field binds, when
+# the former fixes it.
+_DOMAINS = {
+    IndNat: lambda t: NAT,
+    IndUnit: lambda t: UNIT,
+    IndEmpty: lambda t: EMPTY,
+    W: lambda t: t.shapes,
+}
 
 
-def _uses_var0(t: Term, depth: int = 0) -> bool:
+def _unbinder(binder: Term, k: int) -> Term | None:
+    """Invert the resolver's ``_binder``: ``f`` when ``binder`` is
+    ``f^k (k-1) ... 0`` with ``f^k`` not using those variables."""
+    t = binder
+    for i in range(k):
+        if not (isinstance(t, App) and t.arg == Var(i)):
+            return None
+        t = t.fn
+    if any(_uses(t, i) for i in range(k)):
+        return None
+    return shift(t, k, -k)
+
+
+def _uses(t: Term, index: int = 0) -> bool:
+    """True iff the free variable ``index`` occurs in ``t``."""
     if isinstance(t, Var):
-        return t.index == depth
-    return any(_uses_var0(sub, depth + k) for sub, k in subterms(t))
+        return t.index == index
+    return any(_uses(sub, index + k) for sub, k in subterms(t))
 
 
 class _Printer:
@@ -93,14 +102,15 @@ class _Printer:
             if name not in self.avoid:
                 return name
 
-    def binder_fn(self, binder: Term, env: list[str], domain: str | None) -> str:
-        """Print a one-variable binder as a function expression atom."""
-        fn = _uncontract(binder)
+    def binder_fn(self, binder: Term, env: list[str], k: int, domain: str | None) -> str:
+        """Print a field binding ``k`` variables as a function expression atom."""
+        fn = _unbinder(binder, k)
         if fn is not None:
             return self.atom(fn, env)
-        name = self.fresh()
-        dom = domain if domain is not None else "_"
-        return f"(\\({name} : {dom}). {self.expr(binder, env + [name])})"
+        names = [self.fresh() for _ in range(k)]
+        doms = ["_" if domain is None else domain] + ["_"] * (k - 1)
+        lams = " ".join(f"\\({n} : {d})." for n, d in zip(names, doms))
+        return f"({lams} {self.expr(binder, env + names)})"
 
     def expr(self, t: Term, env: list[str]) -> str:
         return self.show(t, env, _EXPR)
@@ -121,32 +131,35 @@ class _Printer:
             return f"!{t.index}", _ATOM
         if isinstance(t, Const):
             return t.name, _ATOM
-        if isinstance(t, Universe):
-            return f"Type {t.level}", _APP
-        if isinstance(t, Nat):
-            return "Nat", _ATOM
-        if isinstance(t, Unit):
-            return "Unit", _ATOM
-        if isinstance(t, Empty):
-            return "Empty", _ATOM
-        if isinstance(t, Zero):
-            return ("0" if self.sugar_numerals else "zero"), _ATOM
-        if isinstance(t, Star):
-            return "star", _ATOM
-        if isinstance(t, Refl):
-            return "refl", _ATOM
-        if isinstance(t, Succ):
+        if isinstance(t, Succ):  # numerals are long chains: keep this before the tables
             if self.sugar_numerals:
                 n = as_int(t)
                 if n is not None:
                     return str(n), _ATOM
             return f"succ {self.atom(t.pred, env)}", _APP
+        name = _CONSTANT_NAMES.get(type(t))
+        if name is not None:
+            return ("0" if name == "zero" and self.sugar_numerals else name), _ATOM
+        form = _KEYWORDS.get(type(t))
+        if form is not None:
+            head, fields = form
+            parts = [head]
+            for f, k in fields:
+                if k == 0:
+                    parts.append(self.atom(getattr(t, f), env))
+                else:
+                    domain = _DOMAINS.get(type(t))
+                    dom = self.expr(domain(t), env) if domain else None
+                    parts.append(self.binder_fn(getattr(t, f), env, k, dom))
+            return " ".join(parts), _APP
+        if isinstance(t, Universe):
+            return f"Type {t.level}", _APP
         if isinstance(t, Lambda):
             name = self.fresh()
             dom = self.expr(t.domain, env)
             return f"\\({name} : {dom}). {self.expr(t.body, env + [name])}", _EXPR
         if isinstance(t, Pi):
-            if _uses_var0(t.codomain):
+            if _uses(t.codomain):
                 name = self.fresh()
                 dom = self.expr(t.domain, env)
                 return f"({name} : {dom}) -> {self.expr(t.codomain, env + [name])}", _EXPR
@@ -164,100 +177,7 @@ class _Printer:
             left = self.show(t.left, env, _APP)
             right = self.show(t.right, env, _PLUS)
             return f"{left} + {right}", _PLUS
-        if isinstance(t, Pair):
-            return f"pair {self.atom(t.fst, env)} {self.atom(t.snd, env)}", _APP
-        if isinstance(t, Inl):
-            return f"inl {self.atom(t.value, env)}", _APP
-        if isinstance(t, Inr):
-            return f"inr {self.atom(t.value, env)}", _APP
-        if isinstance(t, Id):
-            return (
-                f"Id {self.atom(t.type, env)} {self.atom(t.lhs, env)} {self.atom(t.rhs, env)}",
-                _APP,
-            )
-        if isinstance(t, W):
-            shapes = self.atom(t.shapes, env)
-            arities = self.binder_fn(t.arities, env, self.expr(t.shapes, env))
-            return f"W {shapes} {arities}", _APP
-        if isinstance(t, Tree):
-            return f"tree {self.atom(t.shape, env)} {self.atom(t.components, env)}", _APP
-        if isinstance(t, Trunc):
-            return f"Trunc {self.atom(t.type, env)}", _APP
-        if isinstance(t, TruncIn):
-            return f"eta {self.atom(t.value, env)}", _APP
-        if isinstance(t, IndNat):
-            parts = [
-                self.binder_fn(t.motive, env, "Nat"),
-                self.atom(t.base, env),
-                self.atom(t.step, env),
-                self.atom(t.scrutinee, env),
-            ]
-            return "ind-nat " + " ".join(parts), _APP
-        if isinstance(t, IndSigma):
-            parts = [
-                self.binder_fn(t.motive, env, None),
-                self.atom(t.step, env),
-                self.atom(t.scrutinee, env),
-            ]
-            return "ind-sigma " + " ".join(parts), _APP
-        if isinstance(t, IndUnit):
-            parts = [
-                self.binder_fn(t.motive, env, "Unit"),
-                self.atom(t.point, env),
-                self.atom(t.scrutinee, env),
-            ]
-            return "ind-unit " + " ".join(parts), _APP
-        if isinstance(t, IndEmpty):
-            parts = [self.binder_fn(t.motive, env, "Empty"), self.atom(t.scrutinee, env)]
-            return "ind-empty " + " ".join(parts), _APP
-        if isinstance(t, IndCoprod):
-            parts = [
-                self.binder_fn(t.motive, env, None),
-                self.atom(t.on_left, env),
-                self.atom(t.on_right, env),
-                self.atom(t.scrutinee, env),
-            ]
-            return "ind-sum " + " ".join(parts), _APP
-        if isinstance(t, IndEq):
-            parts = [
-                self.motive2(t.motive, env),
-                self.atom(t.base, env),
-                self.atom(t.center, env),
-                self.atom(t.endpoint, env),
-                self.atom(t.path, env),
-            ]
-            return "ind-eq " + " ".join(parts), _APP
-        if isinstance(t, IndW):
-            parts = [
-                self.binder_fn(t.motive, env, None),
-                self.atom(t.step, env),
-                self.atom(t.scrutinee, env),
-            ]
-            return "ind-w " + " ".join(parts), _APP
-        if isinstance(t, IndTrunc):
-            parts = [
-                self.binder_fn(t.motive, env, None),
-                self.atom(t.point, env),
-                self.atom(t.coherence, env),
-                self.atom(t.scrutinee, env),
-            ]
-            return "ind-trunc " + " ".join(parts), _APP
         raise AssertionError(f"unprintable term {t!r}")
-
-    def motive2(self, binder: Term, env: list[str]) -> str:
-        """Two-variable motive: invert ``App(App(f^2, Var 1), Var 0)``."""
-        if (
-            isinstance(binder, App)
-            and binder.arg == Var(0)
-            and isinstance(binder.fn, App)
-            and binder.fn.arg == Var(1)
-            and not _uses_var0(binder.fn.fn)
-            and not _uses_var0(binder.fn.fn, depth=1)
-        ):
-            return self.atom(shift(binder.fn.fn, 2, -2), env)
-        n1, n2 = self.fresh(), self.fresh()
-        body = self.expr(binder, env + [n1, n2])
-        return f"(\\({n1} : _). \\({n2} : _). {body})"
 
 
 def pretty(t: Term, env: list[str] | None = None, sugar_numerals: bool = True) -> str:

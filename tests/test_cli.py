@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -100,6 +102,15 @@ def test_eval_print_normal_forms_flag():
     assert proc.stdout == "3\nsucc (succ (succ zero))\n"
 
 
+def test_eval_budget_exhausted_while_rendering(tmp_path):
+    # the result needs no step; unfolding its type to decide how to print it does
+    src = tmp_path / "my.hott"
+    src.write_text("def MyNat : Type 0 := Nat\npostulate p : MyNat\n")
+    proc = run("eval", "--max-steps", "0", "--expr", "p", str(src))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: reduction budget exhausted after 1 steps\n"
+
+
 def test_max_steps_flag_budget():
     proc = run("eval", "--max-steps", "4", "--expr", "factorial 5", *STDLIB)
     assert proc.returncode == 1
@@ -111,6 +122,10 @@ def test_trace_goes_to_stderr():
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert "prelude.hott" in proc.stderr
+    # items are named by line and directive or declared name, never by record class
+    assert not re.search(r"\bR[A-Z]", proc.stderr)
+    assert re.search(r"prelude\.hott:15: #assert-eq ok \(", proc.stderr)
+    assert re.search(r"prelude\.hott:5: id ok \(", proc.stderr)
 
 
 def test_jobs_flag_parses_concurrently():
@@ -157,8 +172,7 @@ def test_jobs_below_one_is_usage_error(jobs):
 
 
 def test_internal_error_one_line():
-    # A fresh interpreter, because main() raises the recursion limit and the
-    # thread stack size for the whole process.
+    # A fresh interpreter: stderr is then exactly what the process printed.
     script = (
         "import sys\n"
         "from hott import cli\n"
@@ -170,3 +184,11 @@ def test_internal_error_one_line():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, cwd=ROOT, text=True)
     assert proc.returncode == 1
     assert proc.stderr == "error: internal error: RuntimeError: boom\n"
+
+
+def test_main_restores_interpreter_settings(capsys):
+    from hott import cli
+
+    before = (sys.getrecursionlimit(), threading.stack_size())
+    assert cli.main(["check", STDLIB[0]]) == 0
+    assert (sys.getrecursionlimit(), threading.stack_size()) == before

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-from conftest import STDLIB, STDLIB_ORDER, load_stdlib, stdlib_paths
+from conftest import ROOT, STDLIB, STDLIB_ORDER, load_stdlib, stdlib_paths
 
 from hott.check import check, infer, infer_universe
 from hott.parser import parse_expression, resolve_expr
@@ -42,6 +43,16 @@ def test_corpus_checks_and_prints_deterministically(stdlib_sig):
     load_stdlib(second)
     assert first == second
     assert first  # the #eval pragmas printed something
+
+
+def test_manifest_matches_the_printer():
+    # MANIFEST states each type as the printer prints it: any byte drift in
+    # the printer shows up here
+    spec = importlib.util.spec_from_file_location("gen_manifest", ROOT / "scripts" / "gen_manifest.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    expected = "".join(line + "\n" for line in gen.manifest_lines())
+    assert (STDLIB / "MANIFEST").read_text() == expected
 
 
 def test_manifest_names_exist_with_stated_types(stdlib_sig):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from conftest import stdlib_paths
 
 from hott.parser import (
+    CONSTANTS,
+    FORMS,
     DefItem,
     LexError,
     ParseError,
@@ -23,15 +27,20 @@ from hott.terms import (
     NAT,
     ZERO,
     App,
+    Const,
     Coprod,
     Id,
     IndNat,
     Lambda,
     Pi,
+    Sigma,
     Succ,
+    Term,
     Universe,
     Var,
     numeral,
+    shift,
+    subterms,
 )
 
 
@@ -150,6 +159,47 @@ def test_round_trip_samples(src):
     assert resolve(pretty(t)) == t
 
 
+def _resolver_shape(fn: Term, k: int) -> Term:
+    """A field binding ``k`` variables as resolution builds it from the
+    ``k``-argument function ``fn``."""
+    t = shift(fn, 0, k)
+    for i in reversed(range(k)):
+        t = App(t, Var(i))
+    return t
+
+
+def _random_term(rng: random.Random, depth: int, scope: int) -> Term:
+    """A term over ``scope`` bound variables, built from every keyword
+    former, the binders, application and ``+``."""
+    if depth == 0 or rng.random() < 0.3:
+        leaves = [Const("c"), Universe(rng.randrange(2)), numeral(rng.randrange(4)), *CONSTANTS.values()]
+        leaves += [Var(rng.randrange(scope))] * 3 if scope else []
+        return rng.choice(leaves)
+    kind = rng.choice([*FORMS, Lambda, Pi, Sigma, App, Coprod])
+    if kind in (Lambda, Pi, Sigma):
+        return kind(_random_term(rng, depth - 1, scope), _random_term(rng, depth - 1, scope + 1))
+    if kind in (App, Coprod):
+        return kind(_random_term(rng, depth - 1, scope), _random_term(rng, depth - 1, scope))
+    cls = FORMS[kind][0]
+    return cls(*(_resolver_shape(_random_term(rng, depth - 1, scope), k) for k in cls.BINDERS))
+
+
+def _formers(t: Term) -> set[type]:
+    return {type(t)}.union(*(_formers(sub) for sub, _ in subterms(t)))
+
+
+@pytest.mark.parametrize("sugar_numerals", [True, False])
+def test_round_trip_every_former(sugar_numerals):
+    rng = random.Random(4)
+    seen: set[type] = set()
+    for _ in range(1500):
+        t = _random_term(rng, rng.randrange(1, 5), 0)
+        printed = pretty(t, sugar_numerals=sugar_numerals)
+        assert resolve_expr(parse_expression(printed), [], {"c"}) == t, printed
+        seen |= _formers(t)
+    assert seen >= {cls for cls, _ in FORMS.values()}
+
+
 def test_round_trip_all_stdlib_declarations():
     names: set[str] = set()
     for path in stdlib_paths():
@@ -173,3 +223,13 @@ def test_diagnostics_carry_spans(tmp_path):
     with pytest.raises(CheckError) as e:
         process_module(EMPTY_SIGNATURE, bad)
     assert e.value.diagnostic.span == (2, 1)
+
+
+def test_budget_exhaustion_carries_span(stdlib_sig):
+    from hott.loader import ProcessOptions, process_module
+    from hott.reduce import BudgetExhausted
+
+    module = parse("-- needs 53,230 steps\n\n#eval exp 2 10\n", "exp.hott")
+    with pytest.raises(BudgetExhausted) as e:
+        process_module(stdlib_sig, module, ProcessOptions(max_steps=100))
+    assert str(e.value) == "3:1: reduction budget exhausted after 101 steps"
