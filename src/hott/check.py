@@ -128,10 +128,6 @@ def _budget(budget: Optional[ReductionBudget]) -> ReductionBudget:
     return budget if budget is not None else ReductionBudget()
 
 
-def _whnf_type(sig: Signature, ty: Term, budget: ReductionBudget) -> Term:
-    return whnf(sig, ty, budget, unfold=True)
-
-
 def infer(
     sig: Signature, ctx: Context, t: Term, budget: Optional[ReductionBudget] = None
 ) -> Term:
@@ -161,14 +157,14 @@ def infer_universe(
 
 
 def _infer_universe(sig: Signature, ctx: Context, ty: Term, bud: ReductionBudget) -> int:
-    got = _whnf_type(sig, _infer(sig, ctx, ty, bud), bud)
+    got = whnf(sig, _infer(sig, ctx, ty, bud), bud, unfold=True)
     if isinstance(got, Universe):
         return got.level
     raise _fail("not-a-type", "term does not inhabit a universe", found=ty, context=ctx)
 
 
 def _ensure(sig, ctx, t, bud, cls, rule: str, what: str) -> Term:
-    ty = _whnf_type(sig, _infer(sig, ctx, t, bud), bud)
+    ty = whnf(sig, _infer(sig, ctx, t, bud), bud, unfold=True)
     if not isinstance(ty, cls):
         raise _fail(rule, f"scrutinee is not {what}", found=ty, context=ctx)
     return ty
@@ -203,7 +199,7 @@ def _infer(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> Term:
         return Pi(t.domain, body_ty)
 
     if isinstance(t, App):
-        fn_ty = _whnf_type(sig, _infer(sig, ctx, t.fn, bud), bud)
+        fn_ty = whnf(sig, _infer(sig, ctx, t.fn, bud), bud, unfold=True)
         if not isinstance(fn_ty, Pi):
             raise _fail("not-a-function", "application head is not of function type",
                         found=fn_ty, context=ctx)
@@ -350,7 +346,7 @@ def _levels(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> tupl
 
 
 def _check(sig: Signature, ctx: Context, t: Term, ty: Term, bud: ReductionBudget) -> None:
-    want = _whnf_type(sig, ty, bud)
+    want = whnf(sig, ty, bud, unfold=True)
 
     if isinstance(t, Lambda):
         if isinstance(want, Pi):

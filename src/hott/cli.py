@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .check import CheckError, infer
-from .loader import AssertionFailed, FailExpected, ProcessOptions, process_module, render_value
-from .parser import LexError, ParseError, Parser, ResolveError, parse_expression, resolve_expr, tokenize
-from .reduce import BudgetExhausted, ReductionBudget, normalize
-from .terms import DEFAULT_MAX_STEPS, EMPTY_CONTEXT, EMPTY_SIGNATURE, Signature
+from .check import CheckError
+from .loader import AssertionFailed, FailExpected, ProcessOptions, execute, process_module
+from .parser import LexError, ParseError, Parser, REval, ResolveError, parse_expression, resolve_expr, tokenize
+from .reduce import BudgetExhausted
+from .terms import DEFAULT_MAX_STEPS, EMPTY_SIGNATURE, Signature
 
 
 @dataclass
@@ -118,16 +118,11 @@ def cmd_eval(cfg: RunConfig, out=print, err=_stderr) -> int:
     try:
         _validate(cfg)
         sig = _load(cfg, lambda line: None, err)  # pragma output suppressed
-        term = resolve_expr(parse_expression(cfg.expr), [], sig)
-        budget = ReductionBudget(max_steps=cfg.max_steps)
-        ty = infer(sig, EMPTY_CONTEXT, term, budget)
-        value = normalize(sig, term, budget)
-        opts = ProcessOptions(max_steps=cfg.max_steps, print_normal_forms=cfg.print_normal_forms)
-        lines = render_value(sig, value, ty, opts)  # may unfold the type: budgeted too
+        record = REval(resolve_expr(parse_expression(cfg.expr), [], sig), (1, 1))
+        opts = ProcessOptions(max_steps=cfg.max_steps, print_normal_forms=cfg.print_normal_forms, out=out)
+        execute(sig, record, opts)  # as an #eval pragma: nothing prints unless the item succeeds
     except _FAILURES as e:
         return _report(e, err)
-    for line in lines:
-        out(line)
     return 0
 
 

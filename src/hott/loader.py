@@ -9,7 +9,7 @@ an item that lacks a span of its own are stamped with the item's span.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from .check import CheckError, check, check_declaration, infer, infer_universe
@@ -64,11 +64,14 @@ def _budget(opts: ProcessOptions) -> ReductionBudget:
     return ReductionBudget(max_steps=opts.max_steps)
 
 
-def render_value(sig: Signature, value: Term, ty: Term, opts: ProcessOptions) -> list[str]:
-    """Rendering for #eval and the eval command: closed Nat-typed results
-    print as decimal numerals, everything else as concrete syntax."""
+def render_value(
+    sig: Signature, value: Term, ty: Term, opts: ProcessOptions, budget: Optional[ReductionBudget] = None
+) -> list[str]:
+    """Rendering for #eval: closed Nat-typed results print as decimal
+    numerals, everything else as concrete syntax.  Unfolding the type
+    spends ``budget``, the item's own; a fresh one when none is given."""
     lines = []
-    ty_w = whnf(sig, ty, _budget(opts), unfold=True)
+    ty_w = whnf(sig, ty, budget if budget is not None else _budget(opts), unfold=True)
     n = as_int(value)
     if isinstance(ty_w, Nat) and n is not None:
         lines.append(str(n))
@@ -99,7 +102,7 @@ def execute(sig: Signature, record, opts: ProcessOptions) -> Signature:
         bud = _budget(opts)
         ty = infer(sig, EMPTY_CONTEXT, record.term, bud)
         value = normalize(sig, record.term, bud)
-        for line in render_value(sig, value, ty, opts):
+        for line in render_value(sig, value, ty, opts, bud):
             opts.out(line)
         return sig
 
@@ -132,14 +135,10 @@ def attempt_item(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Opt
     """Try one surface item in isolation; the rejection rule name when it
     fails, None when it is accepted (the signature is discarded)."""
     module = SurfaceModule((item,), "<fail>")
+    if opts.trace:  # nothing inside an attempt is traced, a nested #fail included
+        opts = replace(opts, trace=False)
     try:
         for record in resolve(module, sig):
-            if isinstance(record, RFail):
-                # nested #fail: it is accepted exactly when its own item fails
-                inner = attempt_item(sig, record.item, opts)
-                if inner is None:
-                    return "fail-expected"
-                continue
             sig = execute(sig, record, opts)
     except CheckError as e:
         return e.diagnostic.rule
@@ -147,6 +146,8 @@ def attempt_item(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Opt
         return "unbound-identifier"
     except AssertionFailed:
         return "assertion-failed"
+    except FailExpected:
+        return "fail-expected"
     return None
 
 

@@ -1,9 +1,12 @@
 """Reduction and judgmental equality.
 
 ``whnf`` contracts head redexes (beta, all iota rules, and definition
-unfolding where a constant blocks progress).  ``normalize`` produces full
-beta/iota/delta-normal forms.  ``conv`` decides judgmental equality of
-well-typed terms, with eta for Pi and for no other former.
+unfolding where a constant blocks progress).  The iota rules are one
+table, ``IOTA``: each eliminator's scrutinee field and, per constructor,
+its contraction; one loop in ``whnf`` reads it, and only ``IndW`` has a
+branch of its own.  ``normalize`` produces full beta/iota/delta-normal
+forms.  ``conv`` decides judgmental equality of well-typed terms, with
+eta for Pi and for no other former.
 
 The theory has no general fixpoints, so every well-typed term normalizes;
 the step budget turns a kernel bug or an adversarial input into an error
@@ -12,7 +15,8 @@ instead of a hang.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from .terms import (
     DEFAULT_MAX_STEPS,
@@ -72,6 +76,25 @@ def _unfold(sig: Signature, t: Term) -> Term | None:
     return None
 
 
+# Eliminator -> (scrutinee field, constructor -> contraction); a
+# contraction maps the eliminator and its scrutinee in whnf to the reduct.
+# ``IndEmpty`` has no constructor, hence no rule.
+IOTA: dict[type, tuple[str, dict[type, Callable[[Term, Term], Term]]]] = {
+    IndNat: ("scrutinee", {
+        Zero: lambda t, s: t.base,
+        Succ: lambda t, s: App(App(t.step, s.pred), IndNat(t.motive, t.base, t.step, s.pred)),
+    }),
+    IndSigma: ("scrutinee", {Pair: lambda t, s: App(App(t.step, s.fst), s.snd)}),
+    IndUnit: ("scrutinee", {Star: lambda t, s: t.point}),
+    IndCoprod: ("scrutinee", {
+        Inl: lambda t, s: App(t.on_left, s.value),
+        Inr: lambda t, s: App(t.on_right, s.value),
+    }),
+    IndEq: ("path", {Refl: lambda t, s: t.center}),
+    IndTrunc: ("scrutinee", {TruncIn: lambda t, s: App(t.point, s.value)}),
+}
+
+
 def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False) -> Term:
     """Weak head normal form.
 
@@ -89,62 +112,26 @@ def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False)
                 continue
             return t if fn is t.fn else App(fn, t.arg)
 
-        if isinstance(t, IndNat):
-            s = whnf(sig, t.scrutinee, budget, unfold=True)
-            if isinstance(s, Zero):
+        rule = IOTA.get(type(t))
+        if rule is not None:
+            field, contractions = rule
+            old = getattr(t, field)
+            s = whnf(sig, old, budget, unfold=True)
+            contract = contractions.get(type(s))
+            if contract is not None:
                 budget.tick()
-                t = t.base
+                t = contract(t, s)
                 continue
-            if isinstance(s, Succ):
-                budget.tick()
-                t = App(App(t.step, s.pred), IndNat(t.motive, t.base, t.step, s.pred))
-                continue
-            return t if s is t.scrutinee else IndNat(t.motive, t.base, t.step, s)
+            return t if s is old else replace(t, **{field: s})
 
-        if isinstance(t, IndSigma):
-            s = whnf(sig, t.scrutinee, budget, unfold=True)
-            if isinstance(s, Pair):
-                budget.tick()
-                t = App(App(t.step, s.fst), s.snd)
-                continue
-            return t if s is t.scrutinee else IndSigma(t.motive, t.step, s)
-
-        if isinstance(t, IndUnit):
-            s = whnf(sig, t.scrutinee, budget, unfold=True)
-            if isinstance(s, Star):
-                budget.tick()
-                t = t.point
-                continue
-            return t if s is t.scrutinee else IndUnit(t.motive, t.point, s)
-
-        if isinstance(t, IndCoprod):
-            s = whnf(sig, t.scrutinee, budget, unfold=True)
-            if isinstance(s, Inl):
-                budget.tick()
-                t = App(t.on_left, s.value)
-                continue
-            if isinstance(s, Inr):
-                budget.tick()
-                t = App(t.on_right, s.value)
-                continue
-            return t if s is t.scrutinee else IndCoprod(t.motive, t.on_left, t.on_right, s)
-
-        if isinstance(t, IndEq):
-            p = whnf(sig, t.path, budget, unfold=True)
-            if isinstance(p, Refl):
-                budget.tick()
-                t = t.center
-                continue
-            return t if p is t.path else IndEq(t.base, t.motive, t.center, t.endpoint, p)
-
+        # Not in IOTA: the recursive branch is a function over the arity
+        # of the tree, whose domain annotation comes from the components
+        # function, so the rule fires only once the components' whnf
+        # exposes a lambda (always the case for closed canonical trees).
         if isinstance(t, IndW):
             s = whnf(sig, t.scrutinee, budget, unfold=True)
             if isinstance(s, Tree):
                 comps = whnf(sig, s.components, budget, unfold=True)
-                # The recursive branch is a function over the arity of the
-                # tree; its domain annotation comes from the components
-                # function, so the rule fires once that function exposes
-                # its lambda (always the case for closed canonical trees).
                 if isinstance(comps, Lambda):
                     budget.tick()
                     rec = Lambda(
@@ -159,14 +146,6 @@ def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False)
                     continue
                 s = Tree(s.shape, comps)
             return t if s is t.scrutinee else IndW(t.motive, t.step, s)
-
-        if isinstance(t, IndTrunc):
-            s = whnf(sig, t.scrutinee, budget, unfold=True)
-            if isinstance(s, TruncIn):
-                budget.tick()
-                t = App(t.point, s.value)
-                continue
-            return t if s is t.scrutinee else IndTrunc(t.motive, t.point, t.coherence, s)
 
         if unfold:
             body = _unfold(sig, t)

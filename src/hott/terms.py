@@ -378,7 +378,6 @@ EMPTY_CONTEXT = Context()
 
 DEFINITION = "definition"
 POSTULATE = "postulate"
-PRIMITIVE = "primitive"
 
 
 @dataclass(frozen=True)
@@ -391,7 +390,7 @@ class Declaration:
     def __post_init__(self) -> None:
         if self.kind == DEFINITION and self.body is None:
             raise KernelBug(f"definition {self.name} lacks a body")
-        if self.kind in (POSTULATE, PRIMITIVE) and self.body is not None:
+        if self.kind == POSTULATE and self.body is not None:
             raise KernelBug(f"{self.kind} {self.name} must not have a body")
 
 

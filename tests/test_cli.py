@@ -111,6 +111,33 @@ def test_eval_budget_exhausted_while_rendering(tmp_path):
     assert proc.stderr == "error: reduction budget exhausted after 1 steps\n"
 
 
+# One step normalizes q to p and one more unfolds MyNat to decide how p
+# prints; the budget covers both.
+MY_NAT = "def MyNat : Type 0 := Nat\npostulate p : MyNat\ndef q : MyNat := p\n"
+
+
+def test_check_eval_pragma_renders_within_the_budget(tmp_path):
+    src = tmp_path / "my.hott"
+    src.write_text(MY_NAT + "#eval q\n")
+    proc = run("check", "--max-steps", "1", str(src))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: 4:1: reduction budget exhausted after 2 steps\n"
+    proc = run("check", "--max-steps", "2", str(src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p\n", "")
+
+
+def test_eval_renders_within_the_budget(tmp_path):
+    src = tmp_path / "my.hott"
+    src.write_text(MY_NAT)
+    proc = run("eval", "--max-steps", "1", "--expr", "q", str(src))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: reduction budget exhausted after 2 steps\n"
+    proc = run("eval", "--max-steps", "2", "--expr", "q", str(src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p\n", "")
+
+
 def test_max_steps_flag_budget():
     proc = run("eval", "--max-steps", "4", "--expr", "factorial 5", *STDLIB)
     assert proc.returncode == 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from hott.reduce import BudgetExhausted, ReductionBudget, conv, normalize, whnf
+from hott.reduce import IOTA, BudgetExhausted, ReductionBudget, conv, normalize, whnf
 from hott.terms import (
     EMPTY,
     EMPTY_CONTEXT,
@@ -17,6 +17,7 @@ from hott.terms import (
     App,
     Const,
     Declaration,
+    IndCoprod,
     IndEmpty,
     IndEq,
     IndNat,
@@ -24,6 +25,8 @@ from hott.terms import (
     IndTrunc,
     IndUnit,
     IndW,
+    Inl,
+    Inr,
     Lambda,
     Pair,
     Pi,
@@ -151,3 +154,61 @@ def test_budget_counts_steps():
     b = bud()
     normalize(SIG, add(numeral(2), numeral(2)), b)
     assert 0 < b.steps_used < 100
+
+
+# Opaque fields: variables, so that every reduct below is itself stuck.
+A, B, C = Var(1), Var(2), Var(3)
+W_COMPONENTS = Lambda(EMPTY, C)
+
+# (eliminator around a scrutinee, scrutinee field, constructor, reduct)
+IOTA_CASES = {
+    "nat-zero": (lambda s: IndNat(NAT, A, B, s), "scrutinee", ZERO, A),
+    "nat-succ": (lambda s: IndNat(NAT, A, B, s), "scrutinee", Succ(C),
+                 App(App(B, C), IndNat(NAT, A, B, C))),
+    "sigma-pair": (lambda s: IndSigma(NAT, A, s), "scrutinee", Pair(B, C), App(App(A, B), C)),
+    "unit-star": (lambda s: IndUnit(NAT, A, s), "scrutinee", STAR, A),
+    "coprod-inl": (lambda s: IndCoprod(NAT, A, B, s), "scrutinee", Inl(C), App(A, C)),
+    "coprod-inr": (lambda s: IndCoprod(NAT, A, B, s), "scrutinee", Inr(C), App(B, C)),
+    "eq-refl": (lambda s: IndEq(NAT, NAT, A, B, s), "path", REFL, A),
+    "trunc-in": (lambda s: IndTrunc(NAT, A, B, s), "scrutinee", TruncIn(C), App(A, C)),
+    "w-tree": (lambda s: IndW(NAT, A, s), "scrutinee", Tree(B, W_COMPONENTS),
+               App(App(App(A, B), W_COMPONENTS),
+                   Lambda(EMPTY, IndW(NAT, Var(2), App(Lambda(EMPTY, Var(4)), Var(0)))))),
+}
+
+
+def test_iota_cases_cover_every_rule():
+    covered = {(type(mk(Var(0))), type(con)) for mk, _, con, _ in IOTA_CASES.values()}
+    rules = {(elim, con) for elim, (_, contractions) in IOTA.items() for con in contractions}
+    assert covered == rules | {(IndW, Tree)}
+    assert IndEmpty not in IOTA
+
+
+@pytest.mark.parametrize("case", IOTA_CASES)
+def test_iota_rule(case):
+    mk, field, constructor, reduct = IOTA_CASES[case]
+    if type(mk(Var(0))) in IOTA:
+        assert IOTA[type(mk(Var(0)))][0] == field
+
+    # each constructor contracts in exactly one step
+    b = bud()
+    assert whnf(SIG, mk(constructor), b) == reduct
+    assert b.steps_used == 1
+
+    # stuck on a variable: the term itself, no step
+    t = mk(Var(0))
+    b = bud()
+    assert whnf(SIG, t, b) is t
+    assert b.steps_used == 0
+
+    # stuck on a reducible scrutinee: rebuilt around its whnf, the other
+    # fields shared
+    t = mk(App(Lambda(NAT, Var(0)), Var(0)))
+    b = bud()
+    got = whnf(SIG, t, b)
+    assert type(got) is type(t) and b.steps_used == 1
+    for name in type(t).__match_args__:
+        if name == field:
+            assert getattr(got, name) == Var(0)
+        else:
+            assert getattr(got, name) is getattr(t, name)

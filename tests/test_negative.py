@@ -6,7 +6,7 @@ import pytest
 from conftest import ROOT
 
 from hott.check import CheckError
-from hott.loader import fail_outcomes, process_module
+from hott.loader import ProcessOptions, fail_outcomes, process_module
 from hott.parser import PragmaFail, SurfaceModule, parse
 from hott.terms import EMPTY_SIGNATURE
 
@@ -98,3 +98,11 @@ def test_cli_accepts_negative_corpus():
     for path in sorted(NEGATIVE.glob("*.hott")):
         cfg = RunConfig(command="check", paths=[str(path)])
         assert cmd_check(cfg, out=lambda s: None, err=lambda s: None) == 0
+
+
+def test_nested_fail_inverts_twice_and_traces_nothing():
+    module = parse("#fail #fail def bad : Nat := star\n#fail #fail def fine : Nat := zero\n")
+    trace: list[str] = []
+    outcomes = fail_outcomes(EMPTY_SIGNATURE, module, ProcessOptions(trace=True, err=trace.append))
+    assert [rule for _, rule in outcomes] == [None, "fail-expected"]
+    assert trace == []
