@@ -17,7 +17,7 @@ Diagnostic rule names form a closed vocabulary:
     lambda-domain-mismatch refl-endpoints-not-convertible
     Sigma-intro Coprod-intro W-intro Trunc-intro
     Nat-ind Sigma-ind Coprod-ind Eq-ind W-ind Trunc-ind
-    context-entry
+    context-entry max-depth (raised by ``loader``: nesting too deep)
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ from .terms import (
     W,
     Zero,
     shift,
+    spine,
     subst,
 )
 
@@ -187,8 +188,8 @@ def _infer(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> Term:
 
     if isinstance(t, Zero):
         return NAT
-    if isinstance(t, Succ):
-        _check(sig, ctx, t.pred, NAT, bud)
+    if isinstance(t, Succ):  # one premise for the whole chain: its base is a Nat
+        _check(sig, ctx, spine(t)[1], NAT, bud)
         return NAT
     if isinstance(t, Star):
         return UNIT

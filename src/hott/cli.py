@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .check import CheckError
-from .loader import AssertionFailed, FailExpected, ProcessOptions, execute, process_module
+from .loader import AssertionFailed, FailExpected, ProcessOptions, execute, nesting_limit, process_module
 from .parser import LexError, ParseError, Parser, REval, ResolveError, parse_expression, resolve_expr, tokenize
 from .reduce import BudgetExhausted
 from .terms import DEFAULT_MAX_STEPS, EMPTY_SIGNATURE, Signature
@@ -34,7 +34,6 @@ class RunConfig:
     trace: bool = False
     print_normal_forms: bool = False
     expr: Optional[str] = None
-    jobs: int = 1
 
 
 class UsageError(Exception):
@@ -67,8 +66,6 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("eval requires --expr")
     if cfg.max_steps < 0:
         raise UsageError(f"--max-steps must be at least 0, not {cfg.max_steps}")
-    if cfg.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, not {cfg.jobs}")
     for path in cfg.paths:
         if not Path(path).is_file():
             raise UsageError(f"no such file: {path}")
@@ -118,9 +115,10 @@ def cmd_eval(cfg: RunConfig, out=print, err=_stderr) -> int:
     try:
         _validate(cfg)
         sig = _load(cfg, lambda line: None, err)  # pragma output suppressed
-        record = REval(resolve_expr(parse_expression(cfg.expr), [], sig), (1, 1))
         opts = ProcessOptions(max_steps=cfg.max_steps, print_normal_forms=cfg.print_normal_forms, out=out)
-        execute(sig, record, opts)  # as an #eval pragma: nothing prints unless the item succeeds
+        with nesting_limit((1, 1)):
+            record = REval(resolve_expr(parse_expression(cfg.expr), [], sig), (1, 1))
+            execute(sig, record, opts)  # as an #eval pragma: nothing prints unless the item succeeds
     except _FAILURES as e:
         return _report(e, err)
     return 0
@@ -140,8 +138,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="log one line per item to stderr")
         p.add_argument("--print-normal-forms", action="store_true",
                        help="also print constructor normal forms for Nat results")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility (at least 1); files are parsed in order")
 
     check_p = sub.add_parser("check", help="check files and run their pragmas")
     common(check_p)
@@ -149,10 +145,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     common(eval_p)
     eval_p.add_argument("--expr", help="expression to evaluate")
     return parser
-
-
-def _dispatch(cfg: RunConfig) -> int:
-    return cmd_check(cfg) if cfg.command == "check" else cmd_eval(cfg)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -168,38 +160,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         trace=args.trace,
         print_normal_forms=args.print_normal_forms,
         expr=getattr(args, "expr", None),
-        jobs=args.jobs,
     )
-    # Terms are trees whose depth the recursion tracks; a worker thread
-    # with a large stack lifts the ceiling far beyond the main thread's.
-    # Both settings are process-wide, so the caller gets its own back.
-    import threading
-
-    result: list[int] = []
-    old_limit = sys.getrecursionlimit()
-
-    def work() -> None:
-        sys.setrecursionlimit(200_000)
-        try:
-            result.append(_dispatch(cfg))
-        except RecursionError:
-            _stderr("error: term nesting exceeds interpreter capacity")
-            result.append(1)
-        except Exception as e:  # a bug, reported in one line with a defined code
-            _stderr(f"error: internal error: {type(e).__name__}: {e}")
-            result.append(1)
-
     try:
-        old_stack = threading.stack_size(512 * 1024 * 1024)
-    except (ValueError, RuntimeError):
-        old_stack = None
-    worker = threading.Thread(target=work)
-    worker.start()
-    worker.join()
-    sys.setrecursionlimit(old_limit)
-    if old_stack is not None:
-        threading.stack_size(old_stack)
-    return result[0]
+        return cmd_check(cfg) if cfg.command == "check" else cmd_eval(cfg)
+    except Exception as e:  # a bug, reported in one line with a defined code
+        _stderr(f"error: internal error: {type(e).__name__}: {e}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,10 +9,11 @@ an item that lacks a span of its own are stamped with the item's span.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
-from .check import CheckError, check, check_declaration, infer, infer_universe
+from .check import CheckError, Diagnostic, check, check_declaration, infer, infer_universe
 from .parser import (
     PragmaFail,
     RAssert,
@@ -158,6 +159,19 @@ def _stamp_span(exc: Exception, span) -> None:
         exc.args = (f"{span[0]}:{span[1]}: {exc}",)
 
 
+@contextmanager
+def nesting_limit(span) -> Iterator[None]:
+    """Around resolving and running the item at ``span``: a ``RecursionError``
+    ends it with one ``[max-depth]`` diagnostic there.  Like a spent budget,
+    it is no rejection: ``attempt_item`` lets it pass, so no ``#fail``
+    accepts it."""
+    try:
+        yield
+    except RecursionError:
+        message = "term nesting exceeds the interpreter's recursion limit"
+        raise CheckError(Diagnostic("max-depth", message, span=span)) from None
+
+
 def _label(record) -> str:
     """How ``--trace`` names a record: a declaration by its name, a pragma
     by its directive."""
@@ -172,12 +186,15 @@ def process_module(
     sig: Signature, module: SurfaceModule, opts: Optional[ProcessOptions] = None
 ) -> Signature:
     opts = opts or ProcessOptions()
-    for record in resolve(module, sig):
-        started = time.perf_counter()
+    records = resolve(module, sig)  # one record per item, resolved as it is drawn
+    for item in module.items:
         try:
-            sig = execute(sig, record, opts)
+            with nesting_limit(item.span):
+                record = next(records)
+                started = time.perf_counter()
+                sig = execute(sig, record, opts)
         except (CheckError, BudgetExhausted) as e:
-            _stamp_span(e, record.span)
+            _stamp_span(e, item.span)
             raise
         if opts.trace:
             elapsed = (time.perf_counter() - started) * 1000.0

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .terms import (
     EMPTY,
@@ -57,6 +57,7 @@ from .terms import (
 )
 
 Span = tuple[int, int]
+T = TypeVar("T")
 
 
 class LexError(Exception):
@@ -355,8 +356,17 @@ class Parser:
     def parse_module(self, path: str = "<input>") -> SurfaceModule:
         items = []
         while self.peek().kind != "eof":
-            items.append(self.parse_item())
+            items.append(self.bounded(self.parse_item))
         return SurfaceModule(tuple(items), path)
+
+    def bounded(self, parse: Callable[[], T]) -> T:
+        """``parse()``; nesting past the interpreter's recursion limit is a
+        ParseError at the token reached."""
+        try:
+            return parse()
+        except RecursionError:
+            tok = self.peek()
+            raise ParseError(f"expression nested too deeply at {tok.text!r}", tok.span) from None
 
     def parse_item(self) -> SurfaceItem:
         tok = self.peek()
@@ -402,46 +412,36 @@ class Parser:
 
     # -- expressions ----------------------------------------------------------
 
-    def parse_expr(self) -> SExpr:
-        tok = self.peek()
-        if tok.kind == "\\":
-            self.next()
-            self.expect("(")
-            var = self.expect("ident")
-            self.expect(":")
-            dom = self.parse_expr()
-            self.expect(")")
-            self.expect(".")
-            body = self.parse_expr()
-            return SLam(var.text, dom, body, tok.span)
-        if tok.kind == "Sig":
-            self.next()
-            self.expect("(")
-            var = self.expect("ident")
-            self.expect(":")
-            first = self.parse_expr()
-            self.expect(")")
-            self.expect(",")
-            second = self.parse_expr()
-            return SSig(var.text, first, second, tok.span)
-        if tok.kind == "(" and self.peek(1).kind == "ident" and self.peek(2).kind == ":":
-            self.next()
-            var = self.expect("ident")
-            self.expect(":")
-            dom = self.parse_expr()
-            self.expect(")")
-            self.expect("->")
-            cod = self.parse_expr()
-            return SPi(var.text, dom, cod, tok.span)
-        return self.parse_arrow()
+    # Binder opening -> its surface former and the token after its ")".
+    _BINDERS = {"\\": (SLam, "."), "Sig": (SSig, ","), "(": (SPi, "->")}
 
-    def parse_arrow(self) -> SExpr:
-        left = self.parse_plus()
-        if self.peek().kind == "->":
-            span = self.next().span
-            right = self.parse_expr()
-            return SPi(None, left, right, span)
-        return left
+    def parse_expr(self) -> SExpr:
+        """Binders and arrows nest to the right; they are read in a loop,
+        so a chain of them costs no recursion depth."""
+        outer = []  # (former, variable, domain, span), outermost first
+        while True:
+            tok = self.peek()
+            if tok.kind in ("\\", "Sig") or (
+                tok.kind == "(" and self.peek(1).kind == "ident" and self.peek(2).kind == ":"
+            ):
+                cls, sep = self._BINDERS[tok.kind]
+                if tok.kind != "(":
+                    self.next()
+                self.expect("(")
+                var = self.expect("ident").text
+                self.expect(":")
+                dom = self.parse_expr()
+                self.expect(")")
+                self.expect(sep)
+                outer.append((cls, var, dom, tok.span))
+                continue
+            e = self.parse_plus()
+            if self.peek().kind != "->":
+                break
+            outer.append((SPi, None, e, self.next().span))
+        for cls, var, dom, span in reversed(outer):
+            e = cls(var, dom, e, span)
+        return e
 
     def parse_plus(self) -> SExpr:
         left = self.parse_eq()
@@ -510,7 +510,7 @@ def parse(text: str, path: str = "<input>") -> SurfaceModule:
 
 def parse_expression(text: str) -> SExpr:
     parser = Parser(tokenize(text))
-    e = parser.parse_expr()
+    e = parser.bounded(parser.parse_expr)
     parser.expect("eof")
     return e
 

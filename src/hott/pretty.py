@@ -31,8 +31,9 @@ from .terms import (
     Universe,
     Var,
     W,
-    as_int,
+    Zero,
     shift,
+    spine,
     subterms,
 )
 
@@ -44,14 +45,12 @@ _EXPR = 0
 
 def _const_names(t: Term) -> set[str]:
     names: set[str] = set()
-
-    def walk(u: Term) -> None:
+    todo = [t]
+    while todo:
+        u = todo.pop()
         if isinstance(u, Const):
             names.add(u.name)
-        for sub, _ in subterms(u):
-            walk(sub)
-
-    walk(t)
+        todo.extend(sub for sub, _ in subterms(u))
     return names
 
 
@@ -84,6 +83,7 @@ def _unbinder(binder: Term, k: int) -> Term | None:
 
 def _uses(t: Term, index: int = 0) -> bool:
     """True iff the free variable ``index`` occurs in ``t``."""
+    t = spine(t)[1]
     if isinstance(t, Var):
         return t.index == index
     return any(_uses(sub, index + k) for sub, k in subterms(t))
@@ -132,11 +132,10 @@ class _Printer:
         if isinstance(t, Const):
             return t.name, _ATOM
         if isinstance(t, Succ):  # numerals are long chains: keep this before the tables
-            if self.sugar_numerals:
-                n = as_int(t)
-                if n is not None:
-                    return str(n), _ATOM
-            return f"succ {self.atom(t.pred, env)}", _APP
+            n, base = spine(t)
+            if self.sugar_numerals and isinstance(base, Zero):
+                return str(n), _ATOM
+            return "succ (" * (n - 1) + f"succ {self.atom(base, env)}" + ")" * (n - 1), _APP
         name = _CONSTANT_NAMES.get(type(t))
         if name is not None:
             return ("0" if name == "zero" and self.sugar_numerals else name), _ATOM

@@ -15,17 +15,9 @@ through ``t.__dict__``, which would give every node its own dict object.
 
 from __future__ import annotations
 
-import sys
 import threading
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator, Optional
-
-# Recursion tracks term depth; numerals are unary, so evaluating even
-# modest arithmetic needs more headroom than the interpreter default.
-# 12k keeps the guard below the C-stack ceiling of the main thread, so
-# over-deep terms raise RecursionError instead of overflowing; the CLI
-# runs in a worker thread with a larger stack and a larger limit.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 12_000))
 
 DEFAULT_MAX_STEPS = 10_000_000
 
@@ -119,6 +111,12 @@ class Zero(Term):
 class Succ(Term):
     pred: Term
     BINDERS = (0,)
+
+    def __eq__(self, other: object) -> bool:
+        return spine(self) == spine(other) if type(other) is Succ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((Succ, *spine(self)))
 
 
 @dataclass(frozen=True)
@@ -281,14 +279,29 @@ def rebuild(t: Term, children: list[Term]) -> Term:
     return type(t)(*children)
 
 
+def spine(t: Term) -> tuple[int, Term]:
+    """``(n, base)`` with ``t`` = ``Succ^n base`` and ``base`` no ``Succ``; numerals
+    are unary, so traversals walk them with this loop, at no recursion depth."""
+    n = 0
+    while type(t) is Succ:
+        n += 1
+        t = t.pred
+    return n, t
+
+
 def loose(t: Term) -> int:
     """One more than the highest free index of ``t``; 0 when ``t`` is closed."""
     n = t._loose
     if n is None:
+        chain = []  # a chain of Succ shares its base's bound: walked in a loop
+        while type(t) is Succ and t._loose is None:
+            chain.append(t)
+            t = t.pred
         n = t.index + 1 if isinstance(t, Var) else 0
         for sub, k in subterms(t):  # a loop, not a generator: one frame per level
             n = max(n, loose(sub) - k)
-        object.__setattr__(t, "_loose", n)
+        for u in chain + [t]:
+            object.__setattr__(u, "_loose", n)
     return n
 
 
@@ -298,6 +311,12 @@ def _map_vars(t: Term, cutoff: int, depth: int, on_var) -> Term:
         return t
     if isinstance(t, Var):
         return on_var(t, depth)
+    if type(t) is Succ:
+        n, t = spine(t)
+        t = _map_vars(t, cutoff, depth, on_var)
+        for _ in range(n):
+            t = Succ(t)
+        return t
     children = []
     for sub, k in subterms(t):
         children.append(_map_vars(sub, cutoff, depth + k, on_var))
@@ -348,11 +367,8 @@ def numeral(n: int) -> Term:
 
 def as_int(t: Term) -> Optional[int]:
     """Decode an iterated-successor term, or None if it is not one."""
-    n = 0
-    while isinstance(t, Succ):
-        n += 1
-        t = t.pred
-    return n if isinstance(t, Zero) else None
+    n, base = spine(t)
+    return n if isinstance(base, Zero) else None
 
 
 @dataclass(frozen=True)

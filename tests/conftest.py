@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import functools
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,13 @@ def stdlib_paths() -> list[Path]:
     return [STDLIB / name for name in STDLIB_ORDER]
 
 
+def run(*args: str) -> subprocess.CompletedProcess:
+    """``hott ARGS`` in a fresh interpreter, from the repository root."""
+    return subprocess.run(
+        [sys.executable, "-m", "hott.cli", *args], capture_output=True, cwd=ROOT, text=True
+    )
+
+
 def load_stdlib(collect_output: list[str] | None = None) -> Signature:
     sig = EMPTY_SIGNATURE
     sink = collect_output.append if collect_output is not None else (lambda line: None)
@@ -41,3 +51,20 @@ def load_stdlib(collect_output: list[str] | None = None) -> Signature:
 @pytest.fixture(scope="session")
 def stdlib_sig() -> Signature:
     return load_stdlib()
+
+
+def flat(test):
+    """Mark a test on terms far deeper than the recursion limit: if it
+    recurses past the limit, it fails at once with a one-line message.
+    pytest's own report of a ``RecursionError`` compares the locals of
+    every frame, which on such terms takes hours."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        try:
+            return test(*args, **kwargs)
+        except RecursionError:
+            pass
+        raise AssertionError(f"{test.__name__} recursed past the interpreter's limit") from None
+
+    return run

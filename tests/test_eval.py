@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import flat
+from hott.check import check, infer
+from hott.pretty import pretty
 from hott.reduce import IOTA, BudgetExhausted, ReductionBudget, conv, normalize, whnf
 from hott.terms import (
     EMPTY,
@@ -36,6 +39,7 @@ from hott.terms import (
     TruncIn,
     Var,
     W,
+    as_int,
     numeral,
     shift,
 )
@@ -212,3 +216,35 @@ def test_iota_rule(case):
             assert getattr(got, name) == Var(0)
         else:
             assert getattr(got, name) is getattr(t, name)
+
+
+# A numeral far deeper than the interpreter's recursion limit, on the main
+# thread at whatever limit the test process has: checking, reducing,
+# comparing and printing it loops over its chain of Succ.
+BIG = 500_000
+
+
+@flat
+def test_deep_numeral_checks_normalizes_and_converts():
+    n = numeral(BIG)
+    check(SIG, EMPTY_CONTEXT, n, NAT, bud())
+    assert infer(SIG, EMPTY_CONTEXT, Succ(n), bud()) == NAT
+    budget = bud()
+    assert normalize(SIG, n, budget) is n and budget.steps_used == 0
+    assert conv(SIG, n, numeral(BIG), bud())
+    assert not conv(SIG, n, ZERO, bud())
+    # one step per contraction: the redex on the chain is reduced once, and
+    # the numeral under it is shared, not copied
+    budget = bud()
+    normal = normalize(SIG, Succ(App(Lambda(NAT, Succ(Var(0))), n)), budget)
+    assert as_int(normal) == BIG + 2 and normal.pred.pred is n and budget.steps_used == 1
+
+
+@flat
+def test_deep_numeral_prints():
+    n = numeral(BIG)
+    assert pretty(n) == str(BIG)
+    text = pretty(n, sugar_numerals=False)
+    assert text == "succ (" * (BIG - 1) + "succ zero" + ")" * (BIG - 1)
+    assert pretty(Succ(Succ(Var(0))), ["x"]) == "succ (succ x)"
+    assert pretty(Succ(Succ(Var(0))), ["x"], sugar_numerals=False) == "succ (succ x)"

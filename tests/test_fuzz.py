@@ -1,5 +1,8 @@
 """Fuzzed front end: whatever a file holds, ``hott check`` ends with an
-exit code from 0 to 3 and at most one diagnostic line, never a traceback."""
+exit code from 0 to 3 and at most one diagnostic line, never a traceback.
+That holds for nesting of any depth too: past the interpreter's recursion
+limit, the parser reports a parse error and the checker a ``[max-depth]``
+diagnostic at the item."""
 
 from __future__ import annotations
 
@@ -7,12 +10,14 @@ import contextlib
 import io
 import random
 import re
+import subprocess
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import STDLIB
+from conftest import STDLIB, run
 
 from hott import cli
 from hott.parser import DIRECTIVES, KEYWORDS, PUNCT
@@ -95,3 +100,95 @@ def test_mutated_stdlib(rng_seed, name):
         nat = (STDLIB / "nat.hott").read_text(encoding="utf-8")
         code, stderr = run_check(prelude, mutate(nat, rng))
     assert_clean_outcome(code, stderr)
+
+
+# -- deep nesting -------------------------------------------------------------
+# Seeded generators of well-typed items nested ``depth`` deep.  Each returns
+# the text of a file whose last item holds the nesting.
+
+
+def _space(rng: random.Random) -> str:
+    return rng.choice([" ", "", "\n"])
+
+
+def deep_parens(rng: random.Random, depth: int) -> str:
+    atom = rng.choice(["zero", "0", "7"])
+    return "def x : Nat := " + "".join("(" + _space(rng) for _ in range(depth)) + atom + ")" * depth + "\n"
+
+
+def deep_lambdas(rng: random.Random, depth: int) -> str:
+    names = [f"{rng.choice('xyz')}{i}" for i in range(depth)]
+    ty = "".join(rng.choice(["Nat -> ", f"({n} : Nat) -> "]) for n in names) + "Nat"
+    body = "".join(f"\\({n} : Nat).{_space(rng)}" for n in names) + rng.choice(names)
+    return f"def f : {ty} :=\n  {body}\n"
+
+
+def deep_apps(rng: random.Random, depth: int) -> str:
+    args = " ".join(rng.choice(["zero", "0", "(succ zero)", "3"]) for _ in range(depth))
+    return f"postulate g : {'Nat -> ' * depth}Nat\ndef y : Nat := g {args}\n"
+
+
+def deep_succs(rng: random.Random, depth: int) -> str:
+    base = rng.choice(["zero", "0", "5"])
+    return "def s : Nat := " + "succ (" * (depth - 1) + f"succ {base}" + ")" * (depth - 1) + "\n"
+
+
+NESTINGS = {"parens": deep_parens, "lambdas": deep_lambdas, "apps": deep_apps, "succs": deep_succs}
+
+
+@pytest.mark.parametrize("depth", [10, 100, 300, 1_000, 5_000])
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_deep_nesting_ends_cleanly(kind, depth):
+    for rng_seed in range(2):
+        code, stderr = run_check(NESTINGS[kind](random.Random(rng_seed), depth))
+        assert_clean_outcome(code, stderr)
+        # a well-typed item fails only for its depth
+        expected = {0: "", 1: "[max-depth]", 2: "nested too deeply"}
+        assert code in expected and expected[code] in stderr, stderr
+        assert code == 0 or depth > 10, stderr
+
+
+def check_file(tmp_path: Path, text: str) -> subprocess.CompletedProcess:
+    """``hott check`` on ``text`` in a fresh interpreter, at the interpreter's
+    default recursion limit."""
+    path = tmp_path / "deep.hott"
+    path.write_text(text, encoding="utf-8")
+    return run("check", str(path))
+
+
+# The depth each kind of nesting is guaranteed at the interpreter's
+# default recursion limit.
+FLOORS = {"parens": 100, "lambdas": 300, "apps": 300, "succs": 100}
+
+
+@pytest.mark.parametrize("kind", sorted(FLOORS))
+def test_depth_floor_checks(tmp_path, kind):
+    proc = check_file(tmp_path, NESTINGS[kind](random.Random(0), FLOORS[kind]))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_too_deep_lambda_is_max_depth_at_its_item(tmp_path):
+    text = "-- too deep for the kernel\n\n" + deep_lambdas(random.Random(0), 5_000)
+    proc = check_file(tmp_path, text)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: 3:1: [max-depth] term nesting exceeds the interpreter's recursion limit\n"
+
+
+def test_too_deep_is_no_rejection_for_fail(tmp_path):
+    proc = check_file(tmp_path, "#fail " + deep_lambdas(random.Random(0), 5_000))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: 1:1: [max-depth] ")
+
+
+def test_too_deep_eval_is_max_depth():
+    lambdas = "".join(f"\\(x{i} : Nat). " for i in range(5_000)) + "x0"
+    proc = run("eval", "--expr", lambdas)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: 1:1: [max-depth] ")
+
+
+def test_too_deep_parens_is_parse_error(tmp_path):
+    proc = check_file(tmp_path, deep_parens(random.Random(0), 5_000))
+    assert proc.returncode == 2
+    assert_clean_outcome(proc.returncode, proc.stderr)
+    assert "nested too deeply" in proc.stderr

@@ -26,6 +26,7 @@ from hott.terms import (
     as_int,
     loose,
     shift,
+    spine,
     subst,
     well_scoped,
 )
@@ -34,6 +35,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+from conftest import flat  # noqa: E402
 from enumeration import random_scoped_term  # noqa: E402
 
 
@@ -253,20 +255,48 @@ def test_loose_is_invisible_to_equality():
     assert "_loose" not in {f.name for f in dataclasses.fields(t)}
 
 
+# Numerals far deeper than the interpreter's recursion limit, on the main
+# thread at whatever limit the test process has: every traversal of a chain
+# of Succ is a loop.
+BIG = 500_000
+
+
+@flat
 def test_closed_deep_numeral_is_shared_on_main_thread():
-    # The bound is computed one frame per level, so it adds no depth limit
-    # below the traversal's own; closed terms are then never traversed.
     assert threading.current_thread() is threading.main_thread()
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(12_000)  # the limit importing hott.terms sets
-    try:
-        n = numeral(10_000)
-        assert shift(n, 0, 1) is n
-        assert subst(n, 0, ZERO) is n
-        body = subst(Lambda(NAT, App(Var(1), Var(1))), 0, n)
-        assert body.body.fn is n and body.body.arg is n
-    finally:
-        sys.setrecursionlimit(limit)
+    n = numeral(BIG)
+    assert loose(n) == 0 and n.pred._loose == 0  # cached on every node of the chain
+    assert shift(n, 0, 1) is n
+    assert subst(n, 0, ZERO) is n
+    body = subst(Lambda(NAT, App(Var(1), Var(1))), 0, n)
+    assert body.body.fn is n and body.body.arg is n
+
+
+@flat
+def test_deep_numeral_equality_and_hash():
+    n, fresh = numeral(BIG), numeral(BIG)
+    assert n == fresh and hash(n) == hash(fresh)
+    assert n != n.pred and n != Succ(n)
+    assert Succ(n) == Succ(fresh) and App(n, ZERO) == App(fresh, ZERO)
+    assert as_int(n) == BIG and spine(n) == (BIG, ZERO)
+    assert len({n, fresh, numeral(3)}) == 2
+
+
+@flat
+def test_deep_open_chain_shift_and_subst():
+    def chain(base: Term, k: int = 5_000) -> Term:
+        for _ in range(k):
+            base = Succ(base)
+        return base
+
+    t = chain(Var(0))
+    assert t == chain(Var(0)) and t != chain(Var(1)) and t != chain(ZERO)
+    assert loose(t) == 1
+    assert shift(t, 0, 2) == chain(Var(2))
+    assert shift(t, 1, 2) is t
+    assert subst(t, 0, numeral(3)) == numeral(5_003)
+    assert subst(Lambda(NAT, t), 0, ZERO) == Lambda(NAT, chain(Var(0)))
+    assert subst(Lambda(NAT, chain(Var(1))), 0, Var(4)) == Lambda(NAT, chain(Var(5)))
 
 
 # -- signatures sharing one store ------------------------------------------
