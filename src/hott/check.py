@@ -199,13 +199,20 @@ def _infer(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> Term:
         body_ty = _infer(sig, ctx.extend(t.domain), t.body, bud)
         return Pi(t.domain, body_ty)
 
-    if isinstance(t, App):
-        fn_ty = whnf(sig, _infer(sig, ctx, t.fn, bud), bud, unfold=True)
-        if not isinstance(fn_ty, Pi):
-            raise _fail("not-a-function", "application head is not of function type",
-                        found=fn_ty, context=ctx)
-        _check(sig, ctx, t.arg, fn_ty.domain, bud)
-        return subst(fn_ty.codomain, 0, t.arg)
+    if isinstance(t, App):  # the spine in a loop: one frame however many arguments
+        args = []
+        while isinstance(t, App):
+            args.append(t.arg)
+            t = t.fn
+        ty = _infer(sig, ctx, t, bud)
+        for arg in reversed(args):
+            fn_ty = whnf(sig, ty, bud, unfold=True)
+            if not isinstance(fn_ty, Pi):
+                raise _fail("not-a-function", "application head is not of function type",
+                            found=fn_ty, context=ctx)
+            _check(sig, ctx, arg, fn_ty.domain, bud)
+            ty = subst(fn_ty.codomain, 0, arg)
+        return ty
 
     if isinstance(t, IndNat):
         _check(sig, ctx, t.scrutinee, NAT, bud)

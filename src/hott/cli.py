@@ -124,10 +124,15 @@ def cmd_eval(cfg: RunConfig, out=print, err=_stderr) -> int:
     return 0
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hott", description="Type checker and evaluator for .hott files"
-    )
+class ArgumentParser(argparse.ArgumentParser):
+    """A bad command line is a ``UsageError``: one line, exit 3.  Subparsers share the class."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def build_arg_parser() -> ArgumentParser:
+    parser = ArgumentParser(prog="hott", description="Type checker and evaluator for .hott files")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -148,11 +153,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 3 if e.code not in (0, None) else 0
+        args = build_arg_parser().parse_args(argv)
+    except UsageError as e:
+        return _report(e, _stderr)
+    except SystemExit:  # --help, after printing the help
+        return 0
     cfg = RunConfig(
         command=args.command,
         paths=list(args.paths),

@@ -2,15 +2,18 @@
 
 The grammar is ASCII-only.  Line comments run from ``--`` to end of line.
 ``CONSTANTS`` and ``FORMS`` are the one place a keyword former is spelled:
-lexing, parsing, resolution and printing (``pretty``) all read them.  A
-keyword former takes its fields in order, as atoms; eliminators take the
-motive first.  A field that binds ``k`` variables is written as a
-``k``-argument function, which resolution applies to those variables
-(``_binder``).  Numerals desugar to iterated ``succ zero``; a bare ``succ``
-in argument position desugars to ``\\(n : Nat). succ n``.
+lexing, parsing and printing (``pretty``) all read them.  A keyword former
+takes its fields in order, as atoms; eliminators take the motive first.
+A field that binds ``k`` variables is written as a ``k``-argument
+function; the parser reads it under ``k`` unnamed binders and applies it
+to those variables (``Parser.parse_binding``).  Numerals desugar to
+iterated ``succ zero``; a bare ``succ`` in argument position desugars to
+``\\(n : Nat). succ n``.
 
-``_`` is accepted by the parser only so that printed terms with
-unreconstructible binders stay readable; resolving it is an error.
+The parser resolves binders as it reads them and returns core terms;
+name resolution only checks that every free name is declared.  ``_`` is
+accepted by the parser only so that printed terms with unreconstructible
+binders stay readable; resolving it is an error.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .terms import (
     Var,
     W,
     numeral,
-    shift,
 )
 
 Span = tuple[int, int]
@@ -200,82 +202,18 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Surface syntax trees
+# Parsed items
 
 
 @dataclass(frozen=True)
 class SExpr:
-    pass
+    """A parsed expression: its core term, binders already resolved to
+    indices, and the free names it uses with their spans (``_`` among
+    them), in the order ``resolve_expr`` reports them: textual, except
+    that ``a = b in T`` lists ``T``'s names first, as ``Id(T, a, b)`` does."""
 
-
-@dataclass(frozen=True)
-class SName(SExpr):
-    name: str
-    span: Span = (0, 0)
-
-
-@dataclass(frozen=True)
-class SNum(SExpr):
-    value: int
-    span: Span = (0, 0)
-
-
-@dataclass(frozen=True)
-class SType(SExpr):
-    level: int
-    span: Span = (0, 0)
-
-
-@dataclass(frozen=True)
-class SConstant(SExpr):
-    which: str  # a key of CONSTANTS, or succ
-    span: Span = (0, 0)
-
-
-@dataclass(frozen=True)
-class SHole(SExpr):
-    span: Span = (0, 0)
-
-
-@dataclass(frozen=True)
-class SLam(SExpr):
-    var: str
-    domain: SExpr
-    body: SExpr
-    span: Span = (0, 0)
-
-
-@dataclass(frozen=True)
-class SPi(SExpr):
-    var: Optional[str]  # None for the arrow sugar
-    domain: SExpr
-    codomain: SExpr
-    span: Span = (0, 0)
-
-
-@dataclass(frozen=True)
-class SSig(SExpr):
-    var: str
-    first: SExpr
-    second: SExpr
-    span: Span = (0, 0)
-
-
-@dataclass(frozen=True)
-class SApp(SExpr):
-    fn: SExpr
-    arg: SExpr
-    span: Span = (0, 0)
-
-
-@dataclass(frozen=True)
-class SForm(SExpr):
-    """A fully applied keyword former (a key of ``FORMS``), or coproduct
-    ``+`` (as "sum")."""
-
-    head: str
-    args: tuple[SExpr, ...]
-    span: Span = (0, 0)
+    term: Term
+    names: tuple[tuple[str, Span], ...]
 
 
 @dataclass(frozen=True)
@@ -336,6 +274,8 @@ class Parser:
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.env: list[Optional[str]] = []  # binder names, innermost last; None when unnamed
+        self.names: list[tuple[str, Span]] = []  # free names of the expression being read
 
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -374,32 +314,32 @@ class Parser:
             self.next()
             name = self.expect("ident")
             self.expect(":")
-            ty = self.parse_expr()
+            ty = self.expression()
             self.expect(":=")
-            body = self.parse_expr()
+            body = self.expression()
             return DefItem(tok.span, name.text, ty, body)
         if tok.kind == "postulate":
             self.next()
             name = self.expect("ident")
             self.expect(":")
-            ty = self.parse_expr()
+            ty = self.expression()
             return PostulateItem(tok.span, name.text, ty)
         if tok.kind == "#check":
             self.next()
-            e = self.parse_expr()
+            e = self.expression()
             self.expect(":")
-            ty = self.parse_expr()
+            ty = self.expression()
             return PragmaCheck(tok.span, e, ty)
         if tok.kind == "#eval":
             self.next()
-            return PragmaEval(tok.span, self.parse_expr())
+            return PragmaEval(tok.span, self.expression())
         if tok.kind in ("#assert-eq", "#assert-neq"):
             self.next()
-            lhs = self.parse_expr()
+            lhs = self.expression()
             self.expect("==")
-            rhs = self.parse_expr()
+            rhs = self.expression()
             self.expect(":")
-            ty = self.parse_expr()
+            ty = self.expression()
             cls = PragmaAssertEq if tok.kind == "#assert-eq" else PragmaAssertNeq
             return cls(tok.span, lhs, rhs, ty)
         if tok.kind == "#fail":
@@ -412,13 +352,19 @@ class Parser:
 
     # -- expressions ----------------------------------------------------------
 
-    # Binder opening -> its surface former and the token after its ")".
-    _BINDERS = {"\\": (SLam, "."), "Sig": (SSig, ","), "(": (SPi, "->")}
+    def expression(self) -> SExpr:
+        """One closed expression, with the free names it uses."""
+        self.names = []
+        return SExpr(self.parse_expr(), tuple(self.names))
 
-    def parse_expr(self) -> SExpr:
+    # Binder opening -> its former and the token after its ")".
+    _BINDERS = {"\\": (Lambda, "."), "Sig": (Sigma, ","), "(": (Pi, "->")}
+
+    def parse_expr(self) -> Term:
         """Binders and arrows nest to the right; they are read in a loop,
-        so a chain of them costs no recursion depth."""
-        outer = []  # (former, variable, domain, span), outermost first
+        so a chain of them costs no recursion depth.  Each binds its
+        variable for the rest of the chain; an arrow binds an unnamed one."""
+        outer = []  # (former, domain), outermost first
         while True:
             tok = self.peek()
             if tok.kind in ("\\", "Sig") or (
@@ -433,69 +379,91 @@ class Parser:
                 dom = self.parse_expr()
                 self.expect(")")
                 self.expect(sep)
-                outer.append((cls, var, dom, tok.span))
+                outer.append((cls, dom))
+                self.env.append(var)
                 continue
             e = self.parse_plus()
             if self.peek().kind != "->":
                 break
-            outer.append((SPi, None, e, self.next().span))
-        for cls, var, dom, span in reversed(outer):
-            e = cls(var, dom, e, span)
+            self.next()
+            outer.append((Pi, e))
+            self.env.append(None)
+        del self.env[len(self.env) - len(outer):]
+        for cls, dom in reversed(outer):
+            e = cls(dom, e)
         return e
 
-    def parse_plus(self) -> SExpr:
+    def parse_plus(self) -> Term:
         left = self.parse_eq()
         if self.peek().kind == "+":
-            span = self.next().span
-            right = self.parse_plus()
-            return SForm("sum", (left, right), span)
+            self.next()
+            return Coprod(left, self.parse_plus())
         return left
 
-    def parse_eq(self) -> SExpr:
+    def parse_eq(self) -> Term:
+        start = len(self.names)
         left = self.parse_app()
         if self.peek().kind == "=":
-            span = self.next().span
+            self.next()
             right = self.parse_app()
             self.expect("in")
+            mid = len(self.names)
             ty = self.parse_app()
-            return SForm("Id", (ty, left, right), span)
+            self.names[start:] = self.names[mid:] + self.names[start:mid]  # as Id(ty, left, right)
+            return Id(ty, left, right)
         return left
 
     _ATOM_STARTERS = {"ident", "nat", "hole", "(", "succ", "Type", *CONSTANTS}
 
-    def parse_app(self) -> SExpr:
+    def parse_app(self) -> Term:
         head = self.parse_unit()
         while self.peek().kind in self._ATOM_STARTERS:
-            arg = self.parse_atom()
-            head = SApp(head, arg, self.peek().span)
+            head = App(head, self.parse_atom())
         return head
 
-    def parse_unit(self) -> SExpr:
+    def parse_unit(self) -> Term:
         tok = self.peek()
         if tok.kind in FORMS and not (tok.kind == "succ" and self.peek(1).kind not in self._ATOM_STARTERS):
             self.next()
-            args = tuple(self.parse_atom() for _ in FORMS[tok.kind][1])
-            return SForm(tok.kind, args, tok.span)
+            fields = {}
+            for field, k in FORM_FIELDS[tok.kind]:
+                fields[field] = self.parse_atom() if k == 0 else self.parse_binding(k)
+            return FORMS[tok.kind][0](**fields)
         return self.parse_atom()
 
-    def parse_atom(self) -> SExpr:
+    def parse_binding(self, k: int) -> Term:
+        """A field binding ``k`` variables, written as a ``k``-argument
+        function: the atom, read under ``k`` unnamed binders, applied to
+        ``Var(k-1) ... Var(0)``."""
+        self.env.extend([None] * k)
+        t = self.parse_atom()
+        del self.env[-k:]
+        for i in reversed(range(k)):
+            t = App(t, Var(i))
+        return t
+
+    def parse_atom(self) -> Term:
         tok = self.peek()
-        if tok.kind == "ident":
+        if tok.kind in ("ident", "hole"):  # a free ``_`` is recorded for resolution to reject
             self.next()
-            return SName(tok.text, tok.span)
+            for i, name in enumerate(reversed(self.env)):
+                if name == tok.text:
+                    return Var(i)
+            self.names.append((tok.text, tok.span))
+            return Const(tok.text)
         if tok.kind == "nat":
             self.next()
-            return SNum(int(tok.text), tok.span)
-        if tok.kind == "hole":
+            return numeral(int(tok.text))
+        if tok.kind == "succ":  # bare succ: the successor function
             self.next()
-            return SHole(tok.span)
-        if tok.kind in CONSTANTS or tok.kind == "succ":  # bare succ: the successor function
+            return Lambda(NAT, Succ(Var(0)))
+        if tok.kind in CONSTANTS:
             self.next()
-            return SConstant(tok.kind, tok.span)
+            return CONSTANTS[tok.kind]
         if tok.kind == "Type":
             self.next()
             lvl = self.expect("nat")
-            return SType(int(lvl.text), tok.span)
+            return Universe(int(lvl.text))
         if tok.kind == "(":
             self.next()
             e = self.parse_expr()
@@ -510,7 +478,7 @@ def parse(text: str, path: str = "<input>") -> SurfaceModule:
 
 def parse_expression(text: str) -> SExpr:
     parser = Parser(tokenize(text))
-    e = parser.bounded(parser.parse_expr)
+    e = parser.bounded(parser.expression)
     parser.expect("eof")
     return e
 
@@ -519,63 +487,23 @@ def parse_expression(text: str) -> SExpr:
 # Name resolution
 
 
-def _binder(fn: Term, k: int) -> Term:
-    """The field binding ``k`` variables that the ``k``-argument function
-    ``fn`` denotes: ``fn^k`` applied to ``Var(k-1) ... Var(0)``."""
-    t = shift(fn, 0, k)
-    for i in reversed(range(k)):
-        t = App(t, Var(i))
-    return t
+def _term(e: SExpr, declared: Callable[[str], bool]) -> Term:
+    """The term of ``e``, once every free name it uses is ``declared``."""
+    for name, span in e.names:
+        if name == "_":
+            raise ResolveError("'_' is a printing placeholder, not an expression", span)
+        if not declared(name):
+            raise ResolveError(f"unbound identifier {name!r}", span)
+    return e.term
 
 
 def resolve_expr(e: SExpr, env: list[str], names) -> Term:
-    """Turn a surface expression into a core term.
-
-    ``env`` lists binder names outermost-first; ``names`` answers whether a
-    global constant exists (callable or container).  Binders shadow
-    globals, innermost wins.
-    """
-    lookup = names if callable(names) else (lambda n: n in names)
-
-    def go(e: SExpr, env: list[str]) -> Term:
-        if isinstance(e, SName):
-            for i, name in enumerate(reversed(env)):
-                if name == e.name:
-                    return Var(i)
-            if lookup(e.name):
-                return Const(e.name)
-            raise ResolveError(f"unbound identifier {e.name!r}", e.span)
-        if isinstance(e, SNum):
-            return numeral(e.value)
-        if isinstance(e, SType):
-            return Universe(e.level)
-        if isinstance(e, SHole):
-            raise ResolveError("'_' is a printing placeholder, not an expression", e.span)
-        if isinstance(e, SConstant):
-            if e.which == "succ":
-                return Lambda(NAT, Succ(Var(0)))
-            return CONSTANTS[e.which]
-        if isinstance(e, SLam):
-            dom = go(e.domain, env)
-            return Lambda(dom, go(e.body, env + [e.var]))
-        if isinstance(e, SPi):
-            dom = go(e.domain, env)
-            if e.var is None:
-                return Pi(dom, shift(go(e.codomain, env), 0, 1))
-            return Pi(dom, go(e.codomain, env + [e.var]))
-        if isinstance(e, SSig):
-            first = go(e.first, env)
-            return Sigma(first, go(e.second, env + [e.var]))
-        if isinstance(e, SApp):
-            return App(go(e.fn, env), go(e.arg, env))
-        if isinstance(e, SForm):
-            if e.head == "sum":  # ``+`` is not a keyword
-                return Coprod(go(e.args[0], env), go(e.args[1], env))
-            cls = FORMS[e.head][0]
-            return cls(**{f: _binder(go(a, env), k) for (f, k), a in zip(FORM_FIELDS[e.head], e.args)})
-        raise ResolveError(f"unresolvable expression {e!r}", (0, 0))
-
-    return go(e, env)
+    """The core term of ``e``, once each free name it uses is in the
+    container ``names``.  The parser resolves binders itself, so ``env``
+    must be empty."""
+    if env:
+        raise ValueError("binders are resolved by the parser: env must be empty")
+    return _term(e, names.__contains__)
 
 
 # ---------------------------------------------------------------------------
@@ -628,15 +556,15 @@ class RFail:
 def resolve(module: SurfaceModule, sig) -> "Iterator":
     """Lower a module against a signature, yielding one record per item.
 
-    Identifiers resolve to indices (innermost binder first) or constants
-    from ``sig`` and from the module's earlier items.  Items wrapped in
-    ``#fail`` stay unresolved: their rejection, which may be a resolution
-    error, is observed by whoever executes them.
+    Every free name must be a constant of ``sig`` or of the module's
+    earlier items.  Items wrapped in ``#fail`` stay unresolved: their
+    rejection, which may be a resolution error, is observed by whoever
+    executes them.
     """
     declared: set[str] = set()  # names of this module's earlier items
 
     def expr(e: SExpr) -> Term:
-        return resolve_expr(e, [], lambda name: name in declared or name in sig)
+        return _term(e, lambda name: name in declared or name in sig)
 
     for item in module.items:
         if isinstance(item, DefItem):

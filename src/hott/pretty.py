@@ -1,9 +1,9 @@
 """Pretty-printing core terms back to concrete syntax.
 
-Printing inverts resolution: re-parsing and re-resolving printed output
+Printing inverts parsing: re-parsing and resolving printed output
 yields a structurally equal term.  Keyword formers print from the inverse
 of ``parser.CONSTANTS`` and ``parser.FORMS``.  A field binding ``k``
-variables that has the resolver's shape ``f^k (k-1) ... 0`` prints as
+variables that has the parser's shape ``f^k (k-1) ... 0`` prints as
 ``f``; one that lost that shape prints as a ``k``-argument lambda whose
 first domain is reconstructed when the former fixes it (Nat, Unit, Empty
 for their eliminators, the shapes for ``W``) and is the placeholder ``_``
@@ -69,7 +69,7 @@ _DOMAINS = {
 
 
 def _unbinder(binder: Term, k: int) -> Term | None:
-    """Invert the resolver's ``_binder``: ``f`` when ``binder`` is
+    """Invert ``Parser.parse_binding``: ``f`` when ``binder`` is
     ``f^k (k-1) ... 0`` with ``f^k`` not using those variables."""
     t = binder
     for i in range(k):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 import threading
 
+import pytest
+
 from conftest import ROOT, run, stdlib_paths
 
 STDLIB = [str(p) for p in stdlib_paths()]
@@ -209,3 +211,27 @@ def test_main_runs_on_the_callers_thread(monkeypatch, capsys):
     assert cli.main(["check", *STDLIB]) == 0
     assert cli.main(["eval", "--expr", "add 2 3", *STDLIB]) == 0
     assert capsys.readouterr().out.endswith("5\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--jobs", "4", STDLIB[0]],
+        ["check", "--max-steps", "abc", STDLIB[0]],
+        ["--max-steps", "10", STDLIB[0]],
+        [],
+    ],
+    ids=["unknown-flag", "malformed-max-steps", "missing-subcommand", "bare"],
+)
+def test_usage_error_is_one_line(argv):
+    proc = run(*argv)
+    assert proc.returncode == 3
+    assert_one_error_line(proc.stderr)
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_exits_zero(argv):
+    proc = run(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: hott")

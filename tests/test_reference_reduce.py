@@ -102,3 +102,23 @@ def test_arithmetic_matches_reference(stdlib_sig, name, data):
     assert_same(stdlib_sig, "whnf-unfold", term)
     for other in (numeral(n), numeral(n + 1), App(App(Const(name), numeral(b)), numeral(a))):
         assert_same(stdlib_sig, "conv", term, other)
+
+
+@pytest.mark.parametrize("n", [500, 2_000])
+def test_conv_on_numerals_differing_at_the_base_is_linear(monkeypatch, n):
+    # Every comparison of two Succ chains walks them with ``terms.spine``;
+    # counted here, the walk stays linear in the length of the numerals.
+    from hott import terms
+
+    walked = []
+    spine = terms.spine
+
+    def counting(t):
+        count, base = spine(t)
+        walked.append(count)
+        return count, base
+
+    lhs, rhs = numeral(n), numeral(n + 1)
+    monkeypatch.setattr(terms, "spine", counting)
+    assert _run(reduce.conv, EMPTY_SIGNATURE, lhs, rhs, max_steps=0) == (False, 0)
+    assert sum(walked) <= 2 * n + 1
