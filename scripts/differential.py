@@ -7,10 +7,10 @@ exports ``src/`` at ``REV`` with ``git archive`` into a temporary
 directory and runs the same seeded probes against that tree's ``hott``
 package and against this tree's, each in its own interpreter.  The inputs
 (the stdlib, ``tests/negative/``, the generators in ``tests/enumeration.py``
-and the seeds below) come from this tree, so only the program differs.
-It prints the first probe whose result differs and exits 1 on any
-difference; it exits 0 when every probe agrees, and 2 when ``REV`` cannot
-be exported.
+and ``perfbench/corpus.py``, and the seeds below) come from this tree, so
+only the program differs.  It prints the first probe whose result
+differs and exits 1 on any difference; it exits 0 when every probe
+agrees, and 2 when ``REV`` cannot be exported.
 
 A probe's result is its value or its error, with the reduction steps it
 used.  The families:
@@ -27,6 +27,9 @@ used.  The families:
 - ``reduce``: ``whnf`` (with and without ``unfold``), ``normalize`` and
   ``conv`` on the same populations and on stdlib arithmetic.
 - ``fail``: ``fail_outcomes`` on each ``tests/negative/`` file.
+- ``bulk``: ``hott check --trace`` on the benchmark's seed-7 library of
+  5,000 small items, from ``perfbench/corpus.py``: one probe per line of
+  stdout and stderr (times masked), and one for the exit code.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ EVAL_EXPRS = [
 ]
 EVAL_BUDGETS = ["30", "1000", "100000"]  # each definition checks within 20 steps
 TIMES = re.compile(r"\(\d+\.\d+ ms\)")
+BULK_SEED = 7
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +352,23 @@ def fail_probes() -> Iterator[Probe]:
             yield f"fail {path.name}:{item.span[0]}", str(rule)
 
 
+def bulk_probes() -> Iterator[Probe]:
+    from corpus import bulk_library  # the benchmark's generator; it imports no hott
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, text in bulk_library(BULK_SEED).texts():
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
+            paths.append(str(Path(tmp) / name))
+        code, out, err = json.loads(_run_cli(["check", "--trace", *paths]))
+    for stream, text in (("stdout", out), ("stderr", err)):
+        for i, line in enumerate(text.replace(tmp + os.sep, "").splitlines()):
+            yield f"bulk {stream} {i}", line
+    yield "bulk exit", str(code)
+
+
 FAMILIES = {"cli": cli_probes, "front": front_probes, "kernel": kernel_probes,
-            "reduce": reduce_probes, "fail": fail_probes}
+            "reduce": reduce_probes, "fail": fail_probes, "bulk": bulk_probes}
 
 
 def worker(limit: int, out_path: str) -> None:
@@ -387,7 +406,7 @@ def run_probes(src: Path, limit: int = 0) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         out_path = Path(tmp) / "probes.txt"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src), str(ROOT / "scripts"), str(ROOT / "tests")]))
+            [str(src), str(ROOT / "scripts"), str(ROOT / "tests"), str(ROOT / "perfbench")]))
         code = "import sys, differential; differential.worker(int(sys.argv[1]), sys.argv[2])"
         subprocess.run([sys.executable, "-c", code, str(limit), str(out_path)],
                        cwd=tmp, env=env, check=True)

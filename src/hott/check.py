@@ -1,9 +1,26 @@
 """Bidirectional type checking.
 
 ``infer`` synthesizes types for Var, Const, Universe, the type formers,
-App, annotated Lambda, Zero/Succ/Star and every eliminator; Pair, Inl,
-Inr, Refl, Tree and TruncIn are checkable only.  ``check`` switches modes
-through conversion.
+App, annotated Lambda, Zero/Succ/Star and every eliminator; the formers
+of ``INTRO`` (Pair, Inl, Inr, Refl, Tree, TruncIn) are checkable only.
+``check`` switches modes through conversion.
+
+The typing rules of the inductive formers are two tables, as their
+computation rules are one (``reduce.IOTA``):
+
+- ``ELIM`` maps each eliminator but ``IndEq`` to ``(rule, scrutinee,
+  methods)``.  ``scrutinee`` is the scrutinee's type when that is fixed
+  (``NAT``, ``UNIT``, ``EMPTY``), else ``(former, what)``: the former its
+  inferred type must have, and the words of the error when it has not.
+  Each method is ``(field, prefix, type)``: that field is checked against
+  ``type(motive, scrutinee type)``, and a failure is re-raised as ``rule``
+  with ``prefix`` before its message (as it is when ``prefix`` is None).
+- ``INTRO`` maps each checkable-only former to ``(former, rule, message,
+  premises)``: the expected type must be a ``former``, else ``rule`` fails
+  with ``message``; each premise ``(field, prefix, type)`` checks that
+  field against ``type(term, expected type)`` as a method is checked.
+  Refl's one premise is an equation instead, ``(None, None, sides)``: the
+  two sides must be convertible.
 
 Universe discipline: a non-cumulative tower.  Nat, Unit and Empty check
 against every universe and synthesize level 0; binary formers synthesize
@@ -24,11 +41,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from .reduce import ReductionBudget, conv, whnf
 from .terms import (
-    CHECKABLE_ONLY,
     DEFINITION,
     EMPTY,
     EMPTY_CONTEXT,
@@ -112,66 +129,94 @@ def _fail(rule: str, message: str, **kw) -> "CheckError":
 
 
 @contextmanager
-def _premise(rule: str, prefix: str, ctx: Context) -> Iterator[None]:
+def _premise(rule: str, prefix: Optional[str], ctx: Context) -> Iterator[None]:
     """Re-raise a failed premise of ``rule`` as that rule's error, keeping
     the inner message (after ``prefix``) and the terms it found and
-    expected.  A context entry has no expected type, so ``context-entry``
-    reports the found term alone."""
+    expected; with no ``prefix``, the failure passes unchanged.  A context
+    entry has no expected type, so ``context-entry`` reports the found
+    term alone."""
     try:
         yield
     except CheckError as e:
+        if prefix is None:
+            raise
         d = e.diagnostic
         expected = None if rule == "context-entry" else d.expected
         raise _fail(rule, prefix + d.message, found=d.found, expected=expected, context=ctx)
 
 
-def _budget(budget: Optional[ReductionBudget]) -> ReductionBudget:
-    return budget if budget is not None else ReductionBudget()
+def _at(motive: Term, k: int, ctor: Term) -> Term:
+    """``motive`` (binding the scrutinee) at ``ctor``, under ``k`` new
+    binders that ``ctor`` may refer to."""
+    return subst(shift(motive, 1, k), 0, ctor)
 
 
-def infer(
-    sig: Signature, ctx: Context, t: Term, budget: Optional[ReductionBudget] = None
-) -> Term:
-    """Synthesize the type of ``t`` (unique up to conversion)."""
-    bud = _budget(budget)
-    return _infer(sig, ctx, t, bud)
+ELIM: dict[type, tuple] = {
+    IndNat: ("Nat-ind", NAT, (
+        ("base", "base case: ", lambda m, s: _at(m, 0, ZERO)),
+        # (k : Nat) -> motive[k] -> motive[succ k]
+        ("step", "inductive step: ", lambda m, s: Pi(NAT, Pi(m, _at(m, 2, Succ(Var(1)))))),
+    )),
+    IndSigma: ("Sigma-ind", (Sigma, "a pair type"), (
+        # (x : A) -> (y : B x) -> motive[pair x y]
+        ("step", None, lambda m, s: Pi(s.first, Pi(s.second, _at(m, 2, Pair(Var(1), Var(0)))))),
+    )),
+    # Unit-ind and Empty-ind never surface: no former check, no re-wrapped method.
+    IndUnit: ("Unit-ind", UNIT, (("point", None, lambda m, s: _at(m, 0, STAR)),)),
+    IndEmpty: ("Empty-ind", EMPTY, ()),
+    IndCoprod: ("Coprod-ind", (Coprod, "a coproduct"), (
+        ("on_left", "branch: ", lambda m, s: Pi(s.left, _at(m, 1, Inl(Var(0))))),
+        ("on_right", "branch: ", lambda m, s: Pi(s.right, _at(m, 1, Inr(Var(0))))),
+    )),
+    IndW: ("W-ind", (W, "a tree type"), (
+        # (x : A) -> (c : B x -> W A B) -> ((y : B x) -> motive[c y]) -> motive[tree x c]
+        ("step", "inductive step: ", lambda m, s: Pi(s.shapes, Pi(
+            Pi(s.arities, shift(s, 0, 2)),
+            Pi(Pi(shift(s.arities, 0, 1), _at(m, 3, App(Var(1), Var(0)))), _at(m, 3, Tree(Var(2), Var(1)))),
+        ))),
+    )),
+    IndTrunc: ("Trunc-ind", (Trunc, "a truncation"), (
+        ("point", "", lambda m, s: Pi(s.type, _at(m, 1, TruncIn(Var(0))))),
+        # (s : Trunc A) -> (u v : motive[s]) -> Id (motive[s]) u v, i.e. the
+        # motive is a family of propositions; this is equivalent to the
+        # transport condition of the induction principle.
+        ("coherence", "", lambda m, s: Pi(s, Pi(m, Pi(shift(m, 0, 1), Id(shift(m, 0, 2), Var(1), Var(0)))))),
+    )),
+}
 
-
-def check(
-    sig: Signature,
-    ctx: Context,
-    t: Term,
-    ty: Term,
-    budget: Optional[ReductionBudget] = None,
-) -> None:
-    """Check ``t`` against the well-formed type ``ty``; raises CheckError."""
-    bud = _budget(budget)
-    _check(sig, ctx, t, ty, bud)
+INTRO: dict[type, tuple] = {
+    Pair: (Sigma, "Sigma-intro", "pair expects a pair type", (
+        ("fst", None, lambda t, w: w.first),
+        ("snd", None, lambda t, w: subst(w.second, 0, t.fst)),
+    )),
+    Inl: (Coprod, "Coprod-intro", "inl expects a coproduct type", (("value", None, lambda t, w: w.left),)),
+    Inr: (Coprod, "Coprod-intro", "inr expects a coproduct type", (("value", None, lambda t, w: w.right),)),
+    Refl: (Id, "Eq-ind", "refl expects an identity type", ((None, None, lambda t, w: (w.lhs, w.rhs)),)),
+    Tree: (W, "W-intro", "tree expects a tree type", (
+        ("shape", None, lambda t, w: w.shapes),
+        ("components", "components: ", lambda t, w: Pi(subst(w.arities, 0, t.shape), shift(w, 0, 1))),
+    )),
+    TruncIn: (Trunc, "Trunc-intro", "the point constructor expects a truncation",
+              (("value", None, lambda t, w: w.type),)),
+}
 
 
 def infer_universe(
     sig: Signature, ctx: Context, ty: Term, budget: Optional[ReductionBudget] = None
 ) -> int:
     """Level l with ctx |- ty : Universe(l)."""
-    bud = _budget(budget)
-    return _infer_universe(sig, ctx, ty, bud)
-
-
-def _infer_universe(sig: Signature, ctx: Context, ty: Term, bud: ReductionBudget) -> int:
-    got = whnf(sig, _infer(sig, ctx, ty, bud), bud, unfold=True)
+    budget = budget or ReductionBudget()
+    got = whnf(sig, infer(sig, ctx, ty, budget), budget, unfold=True)
     if isinstance(got, Universe):
         return got.level
     raise _fail("not-a-type", "term does not inhabit a universe", found=ty, context=ctx)
 
 
-def _ensure(sig, ctx, t, bud, cls, rule: str, what: str) -> Term:
-    ty = whnf(sig, _infer(sig, ctx, t, bud), bud, unfold=True)
-    if not isinstance(ty, cls):
-        raise _fail(rule, f"scrutinee is not {what}", found=ty, context=ctx)
-    return ty
-
-
-def _infer(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> Term:
+def infer(
+    sig: Signature, ctx: Context, t: Term, budget: Optional[ReductionBudget] = None
+) -> Term:
+    """Synthesize the type of ``t`` (unique up to conversion)."""
+    budget = budget or ReductionBudget()
     if isinstance(t, Var):
         if t.index >= len(ctx):
             raise _fail("unbound-variable", f"variable index {t.index} out of scope", context=ctx)
@@ -184,19 +229,19 @@ def _infer(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> Term:
         return decl.type
 
     if isinstance(t, (Universe, Nat, Unit, Empty, Pi, Sigma, Coprod, Id, W, Trunc)):
-        return Universe(_levels(sig, ctx, t, bud)[0])
+        return Universe(_levels(sig, ctx, t, budget)[0])
 
     if isinstance(t, Zero):
         return NAT
     if isinstance(t, Succ):  # one premise for the whole chain: its base is a Nat
-        _check(sig, ctx, spine(t)[1], NAT, bud)
+        check(sig, ctx, spine(t)[1], NAT, budget)
         return NAT
     if isinstance(t, Star):
         return UNIT
 
     if isinstance(t, Lambda):
-        _infer_universe(sig, ctx, t.domain, bud)
-        body_ty = _infer(sig, ctx.extend(t.domain), t.body, bud)
+        infer_universe(sig, ctx, t.domain, budget)
+        body_ty = infer(sig, ctx.extend(t.domain), t.body, budget)
         return Pi(t.domain, body_ty)
 
     if isinstance(t, App):  # the spine in a loop: one frame however many arguments
@@ -204,109 +249,49 @@ def _infer(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> Term:
         while isinstance(t, App):
             args.append(t.arg)
             t = t.fn
-        ty = _infer(sig, ctx, t, bud)
+        ty = infer(sig, ctx, t, budget)
         for arg in reversed(args):
-            fn_ty = whnf(sig, ty, bud, unfold=True)
+            fn_ty = whnf(sig, ty, budget, unfold=True)
             if not isinstance(fn_ty, Pi):
                 raise _fail("not-a-function", "application head is not of function type",
                             found=fn_ty, context=ctx)
-            _check(sig, ctx, arg, fn_ty.domain, bud)
+            check(sig, ctx, arg, fn_ty.domain, budget)
             ty = subst(fn_ty.codomain, 0, arg)
         return ty
 
-    if isinstance(t, IndNat):
-        _check(sig, ctx, t.scrutinee, NAT, bud)
-        _infer_universe(sig, ctx.extend(NAT), t.motive, bud)
-        with _premise("Nat-ind", "base case: ", ctx):
-            _check(sig, ctx, t.base, subst(t.motive, 0, ZERO), bud)
-        # step : (k : Nat) -> motive[k] -> motive[succ k]
-        step_ty = Pi(NAT, Pi(t.motive, subst(shift(t.motive, 1, 2), 0, Succ(Var(1)))))
-        with _premise("Nat-ind", "inductive step: ", ctx):
-            _check(sig, ctx, t.step, step_ty, bud)
-        return subst(t.motive, 0, t.scrutinee)
-
-    if isinstance(t, IndSigma):
-        sc_ty = _ensure(sig, ctx, t.scrutinee, bud, Sigma, "Sigma-ind", "a pair type")
-        _infer_universe(sig, ctx.extend(sc_ty), t.motive, bud)
-        # step : (x : A) -> (y : B x) -> motive[pair x y]
-        step_ty = Pi(
-            sc_ty.first,
-            Pi(sc_ty.second, subst(shift(t.motive, 1, 2), 0, Pair(Var(1), Var(0)))),
-        )
-        _check(sig, ctx, t.step, step_ty, bud)
-        return subst(t.motive, 0, t.scrutinee)
-
-    if isinstance(t, IndUnit):
-        _check(sig, ctx, t.scrutinee, UNIT, bud)
-        _infer_universe(sig, ctx.extend(UNIT), t.motive, bud)
-        _check(sig, ctx, t.point, subst(t.motive, 0, STAR), bud)
-        return subst(t.motive, 0, t.scrutinee)
-
-    if isinstance(t, IndEmpty):
-        _check(sig, ctx, t.scrutinee, EMPTY, bud)
-        _infer_universe(sig, ctx.extend(EMPTY), t.motive, bud)
-        return subst(t.motive, 0, t.scrutinee)
-
-    if isinstance(t, IndCoprod):
-        sc_ty = _ensure(sig, ctx, t.scrutinee, bud, Coprod, "Coprod-ind", "a coproduct")
-        _infer_universe(sig, ctx.extend(sc_ty), t.motive, bud)
-        left_ty = Pi(sc_ty.left, subst(shift(t.motive, 1, 1), 0, Inl(Var(0))))
-        right_ty = Pi(sc_ty.right, subst(shift(t.motive, 1, 1), 0, Inr(Var(0))))
-        with _premise("Coprod-ind", "branch: ", ctx):
-            _check(sig, ctx, t.on_left, left_ty, bud)
-            _check(sig, ctx, t.on_right, right_ty, bud)
+    elim = ELIM.get(type(t))
+    if elim is not None:
+        rule, scrutinee, methods = elim
+        if isinstance(scrutinee, Term):
+            check(sig, ctx, t.scrutinee, scrutinee, budget)
+            sc_ty = scrutinee
+        else:
+            former, what = scrutinee
+            sc_ty = whnf(sig, infer(sig, ctx, t.scrutinee, budget), budget, unfold=True)
+            if not isinstance(sc_ty, former):
+                raise _fail(rule, f"scrutinee is not {what}", found=sc_ty, context=ctx)
+        infer_universe(sig, ctx.extend(sc_ty), t.motive, budget)
+        for name, prefix, method_ty in methods:
+            with _premise(rule, prefix, ctx):
+                check(sig, ctx, getattr(t, name), method_ty(t.motive, sc_ty), budget)
         return subst(t.motive, 0, t.scrutinee)
 
     if isinstance(t, IndEq):
-        base_ty = _infer(sig, ctx, t.base, bud)
+        base_ty = infer(sig, ctx, t.base, budget)
         # motive lives in ctx, x : A, p : Id(A^1, base^1, x)
         motive_ctx = ctx.extend(base_ty).extend(
             Id(shift(base_ty, 0, 1), shift(t.base, 0, 1), Var(0))
         )
-        _infer_universe(sig, motive_ctx, t.motive, bud)
+        infer_universe(sig, motive_ctx, t.motive, budget)
         with _premise("Eq-ind", "center: ", ctx):
-            _check(sig, ctx, t.center, _inst2(t.motive, t.base, REFL), bud)
-        _check(sig, ctx, t.endpoint, base_ty, bud)
-        _check(sig, ctx, t.path, Id(base_ty, t.base, t.endpoint), bud)
+            check(sig, ctx, t.center, _inst2(t.motive, t.base, REFL), budget)
+        check(sig, ctx, t.endpoint, base_ty, budget)
+        check(sig, ctx, t.path, Id(base_ty, t.base, t.endpoint), budget)
         return _inst2(t.motive, t.endpoint, t.path)
 
-    if isinstance(t, IndW):
-        sc_ty = _ensure(sig, ctx, t.scrutinee, bud, W, "W-ind", "a tree type")
-        _infer_universe(sig, ctx.extend(sc_ty), t.motive, bud)
-        a, b = sc_ty.shapes, sc_ty.arities
-        # step : (x : A) -> (c : B x -> W A B)
-        #      -> ((y : B x) -> motive[c y]) -> motive[tree x c]
-        alpha_dom = Pi(b, shift(sc_ty, 0, 2))
-        rec_dom = Pi(shift(b, 0, 1), subst(shift(t.motive, 1, 3), 0, App(Var(1), Var(0))))
-        result = subst(shift(t.motive, 1, 3), 0, Tree(Var(2), Var(1)))
-        step_ty = Pi(a, Pi(alpha_dom, Pi(rec_dom, result)))
-        with _premise("W-ind", "inductive step: ", ctx):
-            _check(sig, ctx, t.step, step_ty, bud)
-        return subst(t.motive, 0, t.scrutinee)
-
-    if isinstance(t, IndTrunc):
-        sc_ty = _ensure(sig, ctx, t.scrutinee, bud, Trunc, "Trunc-ind", "a truncation")
-        _infer_universe(sig, ctx.extend(sc_ty), t.motive, bud)
-        point_ty = Pi(sc_ty.type, subst(shift(t.motive, 1, 1), 0, TruncIn(Var(0))))
-        # coherence : (s : Trunc A) -> (u v : motive[s]) -> Id (motive[s]) u v,
-        # i.e. the motive is a family of propositions; this is equivalent to
-        # the transport condition of the induction principle.
-        coh_ty = Pi(
-            sc_ty,
-            Pi(t.motive, Pi(shift(t.motive, 0, 1), Id(shift(t.motive, 0, 2), Var(1), Var(0)))),
-        )
-        with _premise("Trunc-ind", "", ctx):
-            _check(sig, ctx, t.point, point_ty, bud)
-            _check(sig, ctx, t.coherence, coh_ty, bud)
-        return subst(t.motive, 0, t.scrutinee)
-
-    if isinstance(t, CHECKABLE_ONLY):
-        raise _fail(
-            "cannot-synthesize",
-            f"{type(t).__name__} is checkable only; an expected type is required",
-            found=t,
-            context=ctx,
-        )
+    if type(t) in INTRO:
+        raise _fail("cannot-synthesize", f"{type(t).__name__} is checkable only; an expected type is required",
+                    found=t, context=ctx)
 
     raise _fail("cannot-synthesize", f"no synthesis rule for {type(t).__name__}", context=ctx)
 
@@ -316,119 +301,82 @@ def _inst2(motive: Term, endpoint: Term, path: Term) -> Term:
     return subst(subst(motive, 0, shift(path, 0, 1)), 0, endpoint)
 
 
-def _levels(sig: Signature, ctx: Context, t: Term, bud: ReductionBudget) -> tuple[int, bool]:
+# The binary type formers, each to the getter of its two components.
+_PARTS = {cls: attrgetter(*cls.__match_args__) for cls in (Pi, Sigma, W, Coprod)}
+
+
+def _levels(sig: Signature, ctx: Context, t: Term, budget: ReductionBudget) -> tuple[int, bool]:
     """Admissible universe levels of the type ``t`` under the max rule.
 
     Returns ``(low, flexible)``: the levels are exactly ``{low}`` when not
     flexible and every level ``>= low`` otherwise.  Base types inhabit
     every universe; ``Universe(j)`` inhabits only ``j + 1``; composite
     formers take the image of ``max`` over their components; everything
-    else is pinned to its synthesized level.  ``_infer`` synthesizes
+    else is pinned to its synthesized level.  ``infer`` synthesizes
     ``Universe(low)`` for every type former, so this is the only level rule.
+    A chain of formers nested in their last component is walked in a loop.
     """
+    low, flexible = 0, False
+    while isinstance(t, (Pi, Sigma, W, Coprod, Trunc)):
+        if isinstance(t, Trunc):
+            t = t.type
+            continue
+        first, rest = _PARTS[type(t)](t)
+        first_low, first_flexible = _levels(sig, ctx, first, budget)
+        low, flexible = max(low, first_low), flexible or first_flexible
+        ctx, t = ctx if isinstance(t, Coprod) else ctx.extend(first), rest
     if isinstance(t, (Nat, Unit, Empty)):
-        return 0, True
+        return low, True
     if isinstance(t, Universe):
-        return t.level + 1, False
-    if isinstance(t, (Pi, Sigma, W)):
-        first, second = (
-            (t.domain, t.codomain) if isinstance(t, Pi)
-            else (t.first, t.second) if isinstance(t, Sigma)
-            else (t.shapes, t.arities)
-        )
-        l1, f1 = _levels(sig, ctx, first, bud)
-        l2, f2 = _levels(sig, ctx.extend(first), second, bud)
-        return max(l1, l2), f1 or f2
-    if isinstance(t, Coprod):
-        l1, f1 = _levels(sig, ctx, t.left, bud)
-        l2, f2 = _levels(sig, ctx, t.right, bud)
-        return max(l1, l2), f1 or f2
+        return max(low, t.level + 1), flexible
     if isinstance(t, Id):
-        low, flexible = _levels(sig, ctx, t.type, bud)
-        _check(sig, ctx, t.lhs, t.type, bud)
-        _check(sig, ctx, t.rhs, t.type, bud)
-        return low, flexible
-    if isinstance(t, Trunc):
-        return _levels(sig, ctx, t.type, bud)
-    return _infer_universe(sig, ctx, t, bud), False
+        last_low, last_flexible = _levels(sig, ctx, t.type, budget)
+        check(sig, ctx, t.lhs, t.type, budget)
+        check(sig, ctx, t.rhs, t.type, budget)
+        return max(low, last_low), flexible or last_flexible
+    return max(low, infer_universe(sig, ctx, t, budget)), flexible
 
 
-def _check(sig: Signature, ctx: Context, t: Term, ty: Term, bud: ReductionBudget) -> None:
-    want = whnf(sig, ty, bud, unfold=True)
+def check(
+    sig: Signature, ctx: Context, t: Term, ty: Term, budget: Optional[ReductionBudget] = None
+) -> None:
+    """Check ``t`` against the well-formed type ``ty``; raises CheckError."""
+    budget = budget or ReductionBudget()
+    want = whnf(sig, ty, budget, unfold=True)
 
-    if isinstance(t, Lambda):
-        if isinstance(want, Pi):
-            _infer_universe(sig, ctx, t.domain, bud)
-            if not conv(sig, t.domain, want.domain, bud):
-                raise _fail("lambda-domain-mismatch", "lambda annotation differs from expected domain",
-                            found=t.domain, expected=want.domain, context=ctx)
-            _check(sig, ctx.extend(want.domain), t.body, want.codomain, bud)
-            return
-        # fall through to synthesis (error surfaces as type-mismatch)
-
-    if isinstance(t, Pair):
-        if not isinstance(want, Sigma):
-            raise _fail("Sigma-intro", "pair expects a pair type", found=t, expected=want, context=ctx)
-        _check(sig, ctx, t.fst, want.first, bud)
-        _check(sig, ctx, t.snd, subst(want.second, 0, t.fst), bud)
+    if isinstance(t, Lambda) and isinstance(want, Pi):  # else synthesis, failing as type-mismatch
+        infer_universe(sig, ctx, t.domain, budget)
+        if not conv(sig, t.domain, want.domain, budget):
+            raise _fail("lambda-domain-mismatch", "lambda annotation differs from expected domain",
+                        found=t.domain, expected=want.domain, context=ctx)
+        check(sig, ctx.extend(want.domain), t.body, want.codomain, budget)
         return
 
-    if isinstance(t, Inl):
-        if not isinstance(want, Coprod):
-            raise _fail("Coprod-intro", "inl expects a coproduct type", found=t, expected=want, context=ctx)
-        _check(sig, ctx, t.value, want.left, bud)
-        return
-
-    if isinstance(t, Inr):
-        if not isinstance(want, Coprod):
-            raise _fail("Coprod-intro", "inr expects a coproduct type", found=t, expected=want, context=ctx)
-        _check(sig, ctx, t.value, want.right, bud)
-        return
-
-    if isinstance(t, Refl):
-        if not isinstance(want, Id):
-            raise _fail("Eq-ind", "refl expects an identity type", found=t, expected=want, context=ctx)
-        if not conv(sig, want.lhs, want.rhs, bud):
-            raise _fail(
-                "refl-endpoints-not-convertible",
-                "refl requires judgmentally equal endpoints",
-                found=want.lhs,
-                expected=want.rhs,
-                context=ctx,
-            )
-        return
-
-    if isinstance(t, Tree):
-        if not isinstance(want, W):
-            raise _fail("W-intro", "tree expects a tree type", found=t, expected=want, context=ctx)
-        _check(sig, ctx, t.shape, want.shapes, bud)
-        comp_ty = Pi(subst(want.arities, 0, t.shape), shift(want, 0, 1))
-        with _premise("W-intro", "components: ", ctx):
-            _check(sig, ctx, t.components, comp_ty, bud)
-        return
-
-    if isinstance(t, TruncIn):
-        if not isinstance(want, Trunc):
-            raise _fail("Trunc-intro", "the point constructor expects a truncation",
-                        found=t, expected=want, context=ctx)
-        _check(sig, ctx, t.value, want.type, bud)
+    intro = INTRO.get(type(t))
+    if intro is not None:
+        former, rule, message, premises = intro
+        if not isinstance(want, former):
+            raise _fail(rule, message, found=t, expected=want, context=ctx)
+        for name, prefix, premise in premises:
+            if name is None:
+                lhs, rhs = premise(t, want)
+                if not conv(sig, lhs, rhs, budget):
+                    raise _fail("refl-endpoints-not-convertible", "refl requires judgmentally equal endpoints",
+                                found=lhs, expected=rhs, context=ctx)
+                continue
+            with _premise(rule, prefix, ctx):
+                check(sig, ctx, getattr(t, name), premise(t, want), budget)
         return
 
     if isinstance(want, Universe):
-        low, flexible = _levels(sig, ctx, t, bud)
+        low, flexible = _levels(sig, ctx, t, budget)
         if want.level == low or (flexible and want.level >= low):
             return
-        raise _fail(
-            "universe-mismatch",
-            f"type inhabits Universe({low}){' and above' if flexible else ''}, "
-            f"not Universe({want.level})",
-            found=t,
-            expected=want,
-            context=ctx,
-        )
+        raise _fail("universe-mismatch", f"type inhabits Universe({low}){' and above' if flexible else ''}, "
+                    f"not Universe({want.level})", found=t, expected=want, context=ctx)
 
-    got = _infer(sig, ctx, t, bud)
-    if not conv(sig, got, want, bud):
+    got = infer(sig, ctx, t, budget)
+    if not conv(sig, got, want, budget):
         rule = "universe-mismatch" if isinstance(got, Universe) and isinstance(want, Universe) \
             else "type-mismatch"
         raise _fail(rule, "inferred type does not match expected type",
@@ -439,12 +387,12 @@ def check_declaration(
     sig: Signature, decl: Declaration, budget: Optional[ReductionBudget] = None
 ) -> Signature:
     """Check one declaration against ``sig`` and return the extension."""
-    bud = _budget(budget)
+    budget = budget or ReductionBudget()
     if sig.lookup(decl.name) is not None:
         raise _fail("duplicate-name", f"{decl.name!r} is already declared")
-    _infer_universe(sig, EMPTY_CONTEXT, decl.type, bud)
+    infer_universe(sig, EMPTY_CONTEXT, decl.type, budget)
     if decl.kind == DEFINITION:
-        _check(sig, EMPTY_CONTEXT, decl.body, decl.type, bud)
+        check(sig, EMPTY_CONTEXT, decl.body, decl.type, budget)
     return sig.extend(decl)
 
 
@@ -452,9 +400,9 @@ def check_context(
     sig: Signature, ctx: Context, budget: Optional[ReductionBudget] = None
 ) -> None:
     """Each entry must be a well-formed type over its prefix."""
-    bud = _budget(budget)
+    budget = budget or ReductionBudget()
     prefix = EMPTY_CONTEXT
     for i, entry in enumerate(ctx.entries):
         with _premise("context-entry", f"entry {i}: ", prefix):
-            _infer_universe(sig, prefix, entry, bud)
+            infer_universe(sig, prefix, entry, budget)
         prefix = prefix.extend(entry)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,16 +23,6 @@ from .loader import AssertionFailed, FailExpected, ProcessOptions, execute, nest
 from .parser import LexError, ParseError, Parser, REval, ResolveError, parse_expression, resolve_expr, tokenize
 from .reduce import BudgetExhausted
 from .terms import DEFAULT_MAX_STEPS, EMPTY_SIGNATURE, Signature
-
-
-@dataclass
-class RunConfig:
-    command: str
-    paths: list[str]
-    max_steps: int = DEFAULT_MAX_STEPS
-    trace: bool = False
-    print_normal_forms: bool = False
-    expr: Optional[str] = None
 
 
 class UsageError(Exception):
@@ -59,14 +48,14 @@ def _report(e: Exception, err) -> int:
     return next(code for kind, code in EXIT_CODES.items() if isinstance(e, kind))
 
 
-def _validate(cfg: RunConfig) -> None:
-    if cfg.command == "check" and not cfg.paths:
+def _validate(args: argparse.Namespace) -> None:
+    if args.command == "check" and not args.paths:
         raise UsageError("check requires at least one file")
-    if cfg.command == "eval" and cfg.expr is None:
+    if args.command == "eval" and args.expr is None:
         raise UsageError("eval requires --expr")
-    if cfg.max_steps < 0:
-        raise UsageError(f"--max-steps must be at least 0, not {cfg.max_steps}")
-    for path in cfg.paths:
+    if args.max_steps < 0:
+        raise UsageError(f"--max-steps must be at least 0, not {args.max_steps}")
+    for path in args.paths:
         if not Path(path).is_file():
             raise UsageError(f"no such file: {path}")
 
@@ -81,17 +70,17 @@ def _parse_file(path: str):
     return Parser(tokenize(text)).parse_module(path)
 
 
-def _load(cfg: RunConfig, out, err) -> Signature:
+def _load(args: argparse.Namespace, out, err) -> Signature:
     opts = ProcessOptions(
-        max_steps=cfg.max_steps,
-        trace=cfg.trace,
-        print_normal_forms=cfg.print_normal_forms,
+        max_steps=args.max_steps,
+        trace=args.trace,
+        print_normal_forms=args.print_normal_forms,
         out=out,
         err=err,
     )
     # Every file is parsed before the first is checked, so a syntax error
     # anywhere stops the run before any pragma prints.
-    modules = [_parse_file(path) for path in cfg.paths]
+    modules = [_parse_file(path) for path in args.paths]
     sig = EMPTY_SIGNATURE
     for module in modules:
         sig = process_module(sig, module, opts)
@@ -102,25 +91,25 @@ def _stderr(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def cmd_check(cfg: RunConfig, out=print, err=_stderr) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     try:
-        _validate(cfg)
-        _load(cfg, out, err)
+        _validate(args)
+        _load(args, print, _stderr)
     except _FAILURES as e:
-        return _report(e, err)
+        return _report(e, _stderr)
     return 0
 
 
-def cmd_eval(cfg: RunConfig, out=print, err=_stderr) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
     try:
-        _validate(cfg)
-        sig = _load(cfg, lambda line: None, err)  # pragma output suppressed
-        opts = ProcessOptions(max_steps=cfg.max_steps, print_normal_forms=cfg.print_normal_forms, out=out)
+        _validate(args)
+        sig = _load(args, lambda line: None, _stderr)  # pragma output suppressed
+        opts = ProcessOptions(max_steps=args.max_steps, print_normal_forms=args.print_normal_forms)
         with nesting_limit((1, 1)):
-            record = REval(resolve_expr(parse_expression(cfg.expr), [], sig), (1, 1))
+            record = REval(resolve_expr(parse_expression(args.expr), [], sig), (1, 1))
             execute(sig, record, opts)  # as an #eval pragma: nothing prints unless the item succeeds
     except _FAILURES as e:
-        return _report(e, err)
+        return _report(e, _stderr)
     return 0
 
 
@@ -159,16 +148,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _report(e, _stderr)
     except SystemExit:  # --help, after printing the help
         return 0
-    cfg = RunConfig(
-        command=args.command,
-        paths=list(args.paths),
-        max_steps=args.max_steps,
-        trace=args.trace,
-        print_normal_forms=args.print_normal_forms,
-        expr=getattr(args, "expr", None),
-    )
     try:
-        return cmd_check(cfg) if cfg.command == "check" else cmd_eval(cfg)
+        return cmd_check(args) if args.command == "check" else cmd_eval(args)
     except Exception as e:  # a bug, reported in one line with a defined code
         _stderr(f"error: internal error: {type(e).__name__}: {e}")
         return 1

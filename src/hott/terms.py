@@ -259,10 +259,6 @@ STAR = Star()
 EMPTY = Empty()
 REFL = Refl()
 
-# Term formers whose instances synthesize no type on their own; they are
-# checked against an expected type supplied from the outside.
-CHECKABLE_ONLY = (Pair, Inl, Inr, Refl, Tree, TruncIn)
-
 
 def subterms(t: Term) -> Iterator[tuple[Term, int]]:
     """Yield each direct subterm together with the binders entering it."""

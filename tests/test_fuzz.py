@@ -133,7 +133,17 @@ def deep_succs(rng: random.Random, depth: int) -> str:
     return "def s : Nat := " + "succ (" * (depth - 1) + f"succ {base}" + ")" * (depth - 1) + "\n"
 
 
-NESTINGS = {"parens": deep_parens, "lambdas": deep_lambdas, "apps": deep_apps, "succs": deep_succs}
+def deep_arrows(rng: random.Random, depth: int) -> str:
+    arrows = "".join(rng.choice(["Nat -> ", f"(x{i} : Nat) -> "]) for i in range(depth))
+    return f"postulate g : {arrows}Nat\n"
+
+
+def deep_sigmas(rng: random.Random, depth: int) -> str:
+    return "postulate g : " + "".join(f"Sig (x{i} : Nat),{_space(rng)}" for i in range(depth)) + "Nat\n"
+
+
+NESTINGS = {"parens": deep_parens, "lambdas": deep_lambdas, "apps": deep_apps, "succs": deep_succs,
+            "arrows": deep_arrows, "sigmas": deep_sigmas}
 
 
 @pytest.mark.parametrize("depth", [10, 100, 300, 1_000, 5_000])
@@ -157,8 +167,9 @@ def check_file(tmp_path: Path, text: str) -> subprocess.CompletedProcess:
 
 
 # The depth each kind of nesting is guaranteed at the interpreter's
-# default recursion limit.
-FLOORS = {"parens": 100, "lambdas": 300, "apps": 300, "succs": 100}
+# default recursion limit.  A type nested in its last component, as a
+# chain of arrows or of ``Sig`` binders is, costs the checker no depth.
+FLOORS = {"parens": 100, "lambdas": 300, "apps": 300, "succs": 100, "arrows": 3_000, "sigmas": 1_000}
 
 
 @pytest.mark.parametrize("kind", sorted(FLOORS))

@@ -92,12 +92,12 @@ def test_premise_messages_name_the_premise():
         assert messages[key].startswith(prefix), (key, messages[key])
 
 
-def test_cli_accepts_negative_corpus():
-    from hott.cli import RunConfig, cmd_check
+def test_cli_accepts_negative_corpus(capsys):
+    from hott.cli import main
 
     for path in sorted(NEGATIVE.glob("*.hott")):
-        cfg = RunConfig(command="check", paths=[str(path)])
-        assert cmd_check(cfg, out=lambda s: None, err=lambda s: None) == 0
+        assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_nested_fail_inverts_twice_and_traces_nothing():

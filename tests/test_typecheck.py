@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import hott.terms
 from hott.check import (
+    ELIM,
+    INTRO,
     CheckError,
     check,
     check_context,
@@ -26,6 +29,7 @@ from hott.terms import (
     Coprod,
     Declaration,
     Id,
+    IndEq,
     IndNat,
     Inl,
     Lambda,
@@ -33,6 +37,7 @@ from hott.terms import (
     Pi,
     Sigma,
     Succ,
+    Term,
     Trunc,
     TruncIn,
     Universe,
@@ -66,6 +71,25 @@ def test_pair_cannot_synthesize():
     with pytest.raises(CheckError) as e:
         infer(SIG, CTX, Pair(ZERO, ZERO))
     assert rule_of(e) == "cannot-synthesize"
+
+
+def test_every_former_has_a_typing_rule():
+    """Each eliminator has an ``ELIM`` row or ``IndEq``'s own branch, each
+    ``INTRO`` former is refused by ``infer`` as checkable only, and no
+    former reaches "no synthesis rule"."""
+    formers = [c for c in vars(hott.terms).values()
+               if isinstance(c, type) and issubclass(c, Term) and c is not Term]
+    assert {c for c in formers if c.__name__.startswith("Ind")} == set(ELIM) | {IndEq}
+    leaves = {Var: Var(0), Const: Const("c"), Universe: Universe(0)}
+    for former in formers:
+        t = leaves.get(former) or former(*(Var(0) for _ in former.__match_args__))
+        try:
+            infer(SIG, Context((NAT,)), t)
+            message = ""
+        except CheckError as e:
+            message = e.diagnostic.message
+        assert "no synthesis rule" not in message, former
+        assert ("checkable only" in message) == (former in INTRO), former
 
 
 def test_check_refl_through_conversion():
