@@ -224,10 +224,46 @@ def _resolved(text: str) -> str:
         return f"{type(e).__name__}: {e}"
 
 
+# Class name -> the kind of record or item it is.  A tree runs either the
+# parser's items (``DefItem`` ...) or resolved copies of them (``RDef`` ...),
+# so records are compared by what they hold, not by their classes.
+_KINDS = {
+    "DefItem": "def", "RDef": "def", "PostulateItem": "postulate", "RPostulate": "postulate",
+    "PragmaCheck": "#check", "RCheck": "#check", "PragmaEval": "#eval", "REval": "#eval",
+    "PragmaAssert": "#assert", "RAssert": "#assert", "PragmaAssertEq": "#assert-eq",
+    "PragmaAssertNeq": "#assert-neq", "PragmaFail": "#fail", "RFail": "#fail",
+}
+# Field -> the name it is compared under: a pragma's expression is its term.
+_TERM_FIELDS = {"expr": "term", "term": "term", "lhs": "lhs", "rhs": "rhs", "body": "body", "type": "type"}
+
+
+def _kind(record) -> str:
+    kind = _KINDS[type(record).__name__]
+    if kind == "#assert":  # one class for both assertions
+        kind += "-eq" if record.equal else "-neq"
+    return kind
+
+
+def _record_terms(record) -> dict:
+    """Each resolved term of ``record``, under its field's name in
+    ``_TERM_FIELDS``; a parsed expression is read as its term."""
+    terms = {}
+    for field, shown in _TERM_FIELDS.items():
+        value = getattr(record, field, None)
+        if value is not None:
+            terms[shown] = getattr(value, "term", value)
+    return terms
+
+
 def _show_record(record) -> str:
-    if type(record).__name__ == "RFail":  # holds an unresolved item, whose form is the parser's own
-        return f"RFail({type(record.item).__name__}, span={record.span})"
-    return _show(record)
+    """Kind, name, span and resolved terms; a ``#fail`` record holds an
+    unresolved item, shown by its kind."""
+    fields = {"name": getattr(record, "name", None), "span": record.span}
+    if _kind(record) == "#fail":
+        fields["item"] = _kind(record.item)
+    else:
+        fields.update(_record_terms(record))
+    return f"{_kind(record)} " + ", ".join(f"{k}={_show(v)}" for k, v in fields.items())
 
 
 def _stdlib_records() -> Iterator[tuple[str, object, object]]:
@@ -293,12 +329,11 @@ def kernel_probes() -> Iterator[Probe]:
         yield f"random {seed} infer", _outcome(infer, EMPTY_SIGNATURE, ctx, t, max_steps=RANDOM_MAX_STEPS)
         yield f"random {seed} check", _outcome(check, EMPTY_SIGNATURE, ctx, t, NAT, max_steps=RANDOM_MAX_STEPS)
     for label, record, sig in _stdlib_records():
-        for field in ("term", "body", "type"):
-            t = getattr(record, field, None)
-            if t is not None:
-                yield f"stdlib {label} {field} infer", _outcome(infer, sig, EMPTY_CONTEXT, t)
-        if type(record).__name__ == "RDef":
-            yield f"stdlib {label} check", _outcome(check, sig, EMPTY_CONTEXT, record.body, record.type)
+        terms = _record_terms(record)
+        for field, t in terms.items():
+            yield f"stdlib {label} {field} infer", _outcome(infer, sig, EMPTY_CONTEXT, t)
+        if _kind(record) == "def":
+            yield f"stdlib {label} check", _outcome(check, sig, EMPTY_CONTEXT, terms["body"], terms["type"])
 
 
 def _reductions(sig, label: str, t, max_steps: Optional[int] = None) -> Iterator[Probe]:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .check import CheckError
 from .loader import AssertionFailed, FailExpected, ProcessOptions, execute, nesting_limit, process_module
-from .parser import LexError, ParseError, Parser, REval, ResolveError, parse_expression, resolve_expr, tokenize
+from .parser import LexError, ParseError, Parser, PragmaEval, ResolveError, parse_expression, resolve_expr, tokenize
 from .reduce import BudgetExhausted
 from .terms import DEFAULT_MAX_STEPS, EMPTY_SIGNATURE, Signature
 
@@ -106,8 +106,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         sig = _load(args, lambda line: None, _stderr)  # pragma output suppressed
         opts = ProcessOptions(max_steps=args.max_steps, print_normal_forms=args.print_normal_forms)
         with nesting_limit((1, 1)):
-            record = REval(resolve_expr(parse_expression(args.expr), [], sig), (1, 1))
-            execute(sig, record, opts)  # as an #eval pragma: nothing prints unless the item succeeds
+            expr = parse_expression(args.expr)
+            resolve_expr(expr, [], sig)
+            execute(sig, PragmaEval((1, 1), expr), opts)  # as an #eval pragma: nothing prints unless it succeeds
     except _FAILURES as e:
         return _report(e, _stderr)
     return 0

@@ -15,13 +15,13 @@ from typing import Callable, Iterator, Optional
 
 from .check import CheckError, Diagnostic, check, check_declaration, infer, infer_universe
 from .parser import (
+    DefItem,
+    LocatedError,
+    PostulateItem,
+    PragmaAssert,
+    PragmaCheck,
+    PragmaEval,
     PragmaFail,
-    RAssert,
-    RCheck,
-    RDef,
-    REval,
-    RFail,
-    RPostulate,
     ResolveError,
     SurfaceItem,
     SurfaceModule,
@@ -42,13 +42,11 @@ from .terms import (
 )
 
 
-class AssertionFailed(Exception):
-    def __init__(self, message: str, span):
-        super().__init__(f"{span[0]}:{span[1]}: {message}" if span else message)
-        self.span = span
+class AssertionFailed(LocatedError):
+    """An ``#assert-eq`` or ``#assert-neq`` whose sides disagree with it."""
 
 
-class FailExpected(Exception):
+class FailExpected(LocatedError):
     """A ``#fail`` item was accepted by the checker."""
 
 
@@ -83,53 +81,52 @@ def render_value(
     return lines
 
 
-def execute(sig: Signature, record, opts: ProcessOptions) -> Signature:
-    """Run one resolved record against the signature."""
-    if isinstance(record, RDef):
-        decl = Declaration(record.name, record.type, record.body, DEFINITION)
+def execute(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Signature:
+    """Run one resolved item against the signature."""
+    if isinstance(item, DefItem):
+        decl = Declaration(item.name, item.type.term, item.body.term, DEFINITION)
         return check_declaration(sig, decl, _budget(opts))
 
-    if isinstance(record, RPostulate):
-        decl = Declaration(record.name, record.type, None, POSTULATE)
+    if isinstance(item, PostulateItem):
+        decl = Declaration(item.name, item.type.term, None, POSTULATE)
         return check_declaration(sig, decl, _budget(opts))
 
-    if isinstance(record, RCheck):
+    if isinstance(item, PragmaCheck):
         bud = _budget(opts)
-        infer_universe(sig, EMPTY_CONTEXT, record.type, bud)
-        check(sig, EMPTY_CONTEXT, record.term, record.type, bud)
+        infer_universe(sig, EMPTY_CONTEXT, item.type.term, bud)
+        check(sig, EMPTY_CONTEXT, item.expr.term, item.type.term, bud)
         return sig
 
-    if isinstance(record, REval):
+    if isinstance(item, PragmaEval):
         bud = _budget(opts)
-        ty = infer(sig, EMPTY_CONTEXT, record.term, bud)
-        value = normalize(sig, record.term, bud)
+        ty = infer(sig, EMPTY_CONTEXT, item.expr.term, bud)
+        value = normalize(sig, item.expr.term, bud)
         for line in render_value(sig, value, ty, opts, bud):
             opts.out(line)
         return sig
 
-    if isinstance(record, RAssert):
+    if isinstance(item, PragmaAssert):
         bud = _budget(opts)
-        infer_universe(sig, EMPTY_CONTEXT, record.type, bud)
-        check(sig, EMPTY_CONTEXT, record.lhs, record.type, bud)
-        check(sig, EMPTY_CONTEXT, record.rhs, record.type, bud)
-        equal = conv(sig, record.lhs, record.rhs, bud)
-        if record.equal and not equal:
-            raise AssertionFailed("assert-eq: sides are not judgmentally equal", record.span)
-        if not record.equal and equal:
-            raise AssertionFailed("assert-neq: sides are judgmentally equal", record.span)
+        ty, lhs, rhs = item.type.term, item.lhs.term, item.rhs.term
+        infer_universe(sig, EMPTY_CONTEXT, ty, bud)
+        check(sig, EMPTY_CONTEXT, lhs, ty, bud)
+        check(sig, EMPTY_CONTEXT, rhs, ty, bud)
+        equal = conv(sig, lhs, rhs, bud)
+        if item.equal and not equal:
+            raise AssertionFailed("assert-eq: sides are not judgmentally equal", item.span)
+        if not item.equal and equal:
+            raise AssertionFailed("assert-neq: sides are judgmentally equal", item.span)
         return sig
 
-    if isinstance(record, RFail):
-        outcome = attempt_item(sig, record.item, opts)
+    if isinstance(item, PragmaFail):
+        outcome = attempt_item(sig, item.item, opts)
         if outcome is None:
-            raise FailExpected(
-                f"{record.span[0]}:{record.span[1]}: item wrapped in #fail was accepted"
-            )
+            raise FailExpected("item wrapped in #fail was accepted", item.span)
         if opts.trace:
             opts.err(f"#fail: rejected as expected [{outcome}]")
         return sig
 
-    raise AssertionError(f"unknown record {record!r}")
+    raise AssertionError(f"unknown item {item!r}")
 
 
 def attempt_item(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Optional[str]:
@@ -139,8 +136,8 @@ def attempt_item(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Opt
     if opts.trace:  # nothing inside an attempt is traced, a nested #fail included
         opts = replace(opts, trace=False)
     try:
-        for record in resolve(module, sig):
-            sig = execute(sig, record, opts)
+        for resolved in resolve(module, sig):
+            sig = execute(sig, resolved, opts)
     except CheckError as e:
         return e.diagnostic.rule
     except ResolveError:
@@ -161,7 +158,7 @@ def _stamp_span(exc: Exception, span) -> None:
 
 @contextmanager
 def nesting_limit(span) -> Iterator[None]:
-    """Around resolving and running the item at ``span``: a ``RecursionError``
+    """Around running the item at ``span``: a ``RecursionError``
     ends it with one ``[max-depth]`` diagnostic there.  Like a spent budget,
     it is no rejection: ``attempt_item`` lets it pass, so no ``#fail``
     accepts it."""
@@ -172,33 +169,31 @@ def nesting_limit(span) -> Iterator[None]:
         raise CheckError(Diagnostic("max-depth", message, span=span)) from None
 
 
-def _label(record) -> str:
-    """How ``--trace`` names a record: a declaration by its name, a pragma
+def _label(item: SurfaceItem) -> str:
+    """How ``--trace`` names an item: a declaration by its name, a pragma
     by its directive."""
-    if isinstance(record, (RDef, RPostulate)):
-        return record.name
-    if isinstance(record, RAssert):
-        return "#assert-eq" if record.equal else "#assert-neq"
-    return {RCheck: "#check", REval: "#eval", RFail: "#fail"}[type(record)]
+    if isinstance(item, (DefItem, PostulateItem)):
+        return item.name
+    if isinstance(item, PragmaAssert):
+        return "#assert-eq" if item.equal else "#assert-neq"
+    return {PragmaCheck: "#check", PragmaEval: "#eval", PragmaFail: "#fail"}[type(item)]
 
 
 def process_module(
     sig: Signature, module: SurfaceModule, opts: Optional[ProcessOptions] = None
 ) -> Signature:
     opts = opts or ProcessOptions()
-    records = resolve(module, sig)  # one record per item, resolved as it is drawn
-    for item in module.items:
+    for item in resolve(module, sig):  # each item resolved as it is drawn
         try:
             with nesting_limit(item.span):
-                record = next(records)
                 started = time.perf_counter()
-                sig = execute(sig, record, opts)
+                sig = execute(sig, item, opts)
         except (CheckError, BudgetExhausted) as e:
             _stamp_span(e, item.span)
             raise
         if opts.trace:
             elapsed = (time.perf_counter() - started) * 1000.0
-            opts.err(f"{module.path}:{record.span[0]}: {_label(record)} ok ({elapsed:.1f} ms)")
+            opts.err(f"{module.path}:{item.span[0]}: {_label(item)} ok ({elapsed:.1f} ms)")
     return sig
 
 

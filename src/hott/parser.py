@@ -11,7 +11,8 @@ iterated ``succ zero``; a bare ``succ`` in argument position desugars to
 ``\\(n : Nat). succ n``.
 
 The parser resolves binders as it reads them and returns core terms;
-name resolution only checks that every free name is declared.  ``_`` is
+name resolution only checks that every free name is declared, and the
+loader runs the parsed items themselves.  ``_`` is
 accepted by the parser only so that printed terms with unreconstructible
 binders stay readable; resolving it is an error.
 """
@@ -62,24 +63,28 @@ Span = tuple[int, int]
 T = TypeVar("T")
 
 
-class LexError(Exception):
-    def __init__(self, message: str, span: Span):
-        super().__init__(f"{span[0]}:{span[1]}: {message}")
+class LocatedError(Exception):
+    """An error at a source position, read as ``line:col: message``; the
+    message alone when the position is unknown."""
+
+    def __init__(self, message: str, span: Optional[Span]):
+        super().__init__(f"{span[0]}:{span[1]}: {message}" if span else message)
         self.span = span
 
 
-class ParseError(Exception):
+class LexError(LocatedError):
+    """A character or directive the lexer does not know."""
+
+
+class ParseError(LocatedError):
     def __init__(self, message: str, span: Span, expected: Optional[set[str]] = None):
         detail = f" (expected one of: {', '.join(sorted(expected))})" if expected else ""
-        super().__init__(f"{span[0]}:{span[1]}: {message}{detail}")
-        self.span = span
+        super().__init__(message + detail, span)
         self.expected = expected or set()
 
 
-class ResolveError(Exception):
-    def __init__(self, message: str, span: Span):
-        super().__init__(f"{span[0]}:{span[1]}: {message}")
-        self.span = span
+class ResolveError(LocatedError):
+    """A free name that is not declared, or a ``_``."""
 
 
 # Keyword -> the constant it denotes.
@@ -218,6 +223,9 @@ class SExpr:
 
 @dataclass(frozen=True)
 class SurfaceItem:
+    """A parsed item, which the loader runs once ``resolve`` has checked
+    its free names; ``span`` is where its first token starts."""
+
     span: Span
 
 
@@ -246,14 +254,8 @@ class PragmaEval(SurfaceItem):
 
 
 @dataclass(frozen=True)
-class PragmaAssertEq(SurfaceItem):
-    lhs: SExpr
-    rhs: SExpr
-    type: SExpr
-
-
-@dataclass(frozen=True)
-class PragmaAssertNeq(SurfaceItem):
+class PragmaAssert(SurfaceItem):
+    equal: bool  # #assert-eq when true, #assert-neq when false
     lhs: SExpr
     rhs: SExpr
     type: SExpr
@@ -340,8 +342,7 @@ class Parser:
             rhs = self.expression()
             self.expect(":")
             ty = self.expression()
-            cls = PragmaAssertEq if tok.kind == "#assert-eq" else PragmaAssertNeq
-            return cls(tok.span, lhs, rhs, ty)
+            return PragmaAssert(tok.span, tok.kind == "#assert-eq", lhs, rhs, ty)
         if tok.kind == "#fail":
             self.next()
             return PragmaFail(tok.span, self.parse_item())
@@ -394,11 +395,15 @@ class Parser:
         return e
 
     def parse_plus(self) -> Term:
-        left = self.parse_eq()
-        if self.peek().kind == "+":
+        """``+`` nests to the right; a chain of it is read in a loop."""
+        summands = [self.parse_eq()]
+        while self.peek().kind == "+":
             self.next()
-            return Coprod(left, self.parse_plus())
-        return left
+            summands.append(self.parse_eq())
+        e = summands.pop()
+        for left in reversed(summands):
+            e = Coprod(left, e)
+        return e
 
     def parse_eq(self) -> Term:
         start = len(self.names)
@@ -507,81 +512,30 @@ def resolve_expr(e: SExpr, env: list[str], names) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Module resolution: surface items become declarations and directives
+# Module resolution
 
 
-@dataclass(frozen=True)
-class RDef:
-    name: str
-    type: Term
-    body: Term
-    span: Span
+# ``#fail`` items under the name the benchmark's tracer counts them by.
+RFail = PragmaFail
 
 
-@dataclass(frozen=True)
-class RPostulate:
-    name: str
-    type: Term
-    span: Span
+def resolve(module: SurfaceModule, sig) -> Iterator[SurfaceItem]:
+    """Yield each item of a module once every free name it uses is a
+    constant of ``sig`` or of the module's earlier items.
 
-
-@dataclass(frozen=True)
-class RCheck:
-    term: Term
-    type: Term
-    span: Span
-
-
-@dataclass(frozen=True)
-class REval:
-    term: Term
-    span: Span
-
-
-@dataclass(frozen=True)
-class RAssert:
-    equal: bool  # assert-eq when true, assert-neq when false
-    lhs: Term
-    rhs: Term
-    type: Term
-    span: Span
-
-
-@dataclass(frozen=True)
-class RFail:
-    item: "SurfaceItem"
-    span: Span
-
-
-def resolve(module: SurfaceModule, sig) -> "Iterator":
-    """Lower a module against a signature, yielding one record per item.
-
-    Every free name must be a constant of ``sig`` or of the module's
-    earlier items.  Items wrapped in ``#fail`` stay unresolved: their
-    rejection, which may be a resolution error, is observed by whoever
-    executes them.
+    Items wrapped in ``#fail`` are yielded unresolved: their rejection,
+    which may be a resolution error, is observed by whoever executes them.
     """
     declared: set[str] = set()  # names of this module's earlier items
 
-    def expr(e: SExpr) -> Term:
-        return _term(e, lambda name: name in declared or name in sig)
+    def known(name: str) -> bool:
+        return name in declared or name in sig
 
     for item in module.items:
-        if isinstance(item, DefItem):
-            yield RDef(item.name, expr(item.type), expr(item.body), item.span)
+        for field in type(item).__match_args__:
+            e = getattr(item, field)
+            if isinstance(e, SExpr):
+                _term(e, known)
+        if isinstance(item, (DefItem, PostulateItem)):
             declared.add(item.name)
-        elif isinstance(item, PostulateItem):
-            yield RPostulate(item.name, expr(item.type), item.span)
-            declared.add(item.name)
-        elif isinstance(item, PragmaCheck):
-            yield RCheck(expr(item.expr), expr(item.type), item.span)
-        elif isinstance(item, PragmaEval):
-            yield REval(expr(item.expr), item.span)
-        elif isinstance(item, PragmaAssertEq):
-            yield RAssert(True, expr(item.lhs), expr(item.rhs), expr(item.type), item.span)
-        elif isinstance(item, PragmaAssertNeq):
-            yield RAssert(False, expr(item.lhs), expr(item.rhs), expr(item.type), item.span)
-        elif isinstance(item, PragmaFail):
-            yield RFail(item.item, item.span)
-        else:
-            raise ResolveError(f"unknown item {item!r}", item.span)
+        yield item

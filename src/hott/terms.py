@@ -289,14 +289,21 @@ def loose(t: Term) -> int:
     """One more than the highest free index of ``t``; 0 when ``t`` is closed."""
     n = t._loose
     if n is None:
-        chain = []  # a chain of Succ shares its base's bound: walked in a loop
-        while type(t) is Succ and t._loose is None:
+        # The last component of each node (a predecessor, a binder's body,
+        # an argument, ...) is walked in a loop: chains cost no depth.
+        chain = []
+        while t._loose is None and t.BINDERS:
             chain.append(t)
-            t = t.pred
-        n = t.index + 1 if isinstance(t, Var) else 0
-        for sub, k in subterms(t):  # a loop, not a generator: one frame per level
-            n = max(n, loose(sub) - k)
-        for u in chain + [t]:
+            t = getattr(t, type(t).__match_args__[-1])
+        n = t._loose
+        if n is None:
+            n = t.index + 1 if isinstance(t, Var) else 0
+            object.__setattr__(t, "_loose", n)
+        for u in reversed(chain):
+            if type(u) is not Succ:  # a Succ shares its predecessor's bound
+                n = 0
+                for sub, k in subterms(u):  # the last one is cached by now
+                    n = max(n, loose(sub) - k)
             object.__setattr__(u, "_loose", n)
     return n
 

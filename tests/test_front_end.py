@@ -1,5 +1,6 @@
-"""The front end: where resolution reports a free name, and how deep an
-application the checker takes at the interpreter's default limit."""
+"""The front end: where resolution reports a free name, and how wide an
+application and how long a sum the checker takes at the interpreter's
+default limit."""
 
 from __future__ import annotations
 
@@ -47,11 +48,20 @@ def test_resolve_expr_takes_no_binders():
 
 def test_wide_application_checks_at_the_default_limit(tmp_path):
     # A fresh interpreter at the default recursion limit: the checker walks
-    # an application spine in a loop, not one frame per argument.
+    # an application spine in a loop, and ``terms.loose`` the function's
+    # type, not one frame per argument or arrow.
     path = tmp_path / "wide.hott"
-    arity = 900
+    arity = 1_100
     path.write_text(
         f"postulate g : {'Nat -> ' * arity}Nat\ndef y : Nat := g{' 0' * arity}\n", encoding="utf-8"
     )
+    proc = run("check", str(path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_long_sum_type_checks_at_the_default_limit(tmp_path):
+    # The parser reads a chain of ``+`` in a loop, as it reads arrows.
+    path = tmp_path / "sum.hott"
+    path.write_text(f"postulate g : {' + '.join(['Nat'] * 3_000)}\n", encoding="utf-8")
     proc = run("check", str(path))
     assert (proc.returncode, proc.stderr) == (0, "")

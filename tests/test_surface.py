@@ -15,7 +15,7 @@ from hott.parser import (
     LexError,
     ParseError,
     PostulateItem,
-    PragmaAssertEq,
+    PragmaAssert,
     ResolveError,
     parse,
     parse_expression,
@@ -78,8 +78,8 @@ def test_parse_requires_type_ascription():
 
 
 def test_parse_assert_eq():
-    mod = parse("#assert-eq zero == zero : Nat")
-    assert isinstance(mod.items[0], PragmaAssertEq)
+    mod = parse("#assert-eq zero == zero : Nat\n#assert-neq zero == 1 : Nat")
+    assert [(type(item), item.equal) for item in mod.items] == [(PragmaAssert, True), (PragmaAssert, False)]
 
 
 def resolve(src: str, names=frozenset()):

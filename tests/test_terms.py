@@ -18,6 +18,8 @@ from hott.terms import (
     Declaration,
     KernelBug,
     Lambda,
+    Pi,
+    Sigma,
     Signature,
     Succ,
     Term,
@@ -297,6 +299,16 @@ def test_deep_open_chain_shift_and_subst():
     assert subst(t, 0, numeral(3)) == numeral(5_003)
     assert subst(Lambda(NAT, t), 0, ZERO) == Lambda(NAT, chain(Var(0)))
     assert subst(Lambda(NAT, chain(Var(1))), 0, Var(4)) == Lambda(NAT, chain(Var(5)))
+
+
+@flat
+def test_deep_binder_chain_bound():
+    # The body of each binder is walked in a loop, as a chain of Succ is.
+    t = Var(6_000)
+    for former in [Pi, Sigma, Lambda] * 2_000:
+        t = former(NAT, t)
+    assert loose(t) == 1
+    assert t.body.second.codomain._loose == 4  # cached on every node of the chain
 
 
 # -- signatures sharing one store ------------------------------------------
