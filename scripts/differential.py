@@ -107,6 +107,8 @@ def _show(x) -> str:
 
 
 def _repr(x) -> str:
+    if type(x).__name__ == "Context":  # a tuple in one tree, cons cells in another
+        return _repr(x.entries)
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         n = 0
         while type(x).__name__ == "Succ":
@@ -127,7 +129,7 @@ def _outcome(fn: Callable, *args, max_steps: Optional[int] = None) -> str:
     try:
         value = fn(*args, budget)
     except CheckError as e:
-        return f"CheckError {_show(e.diagnostic)} steps={budget.steps_used}"
+        return f"CheckError {_show_check_error(e)} steps={budget.steps_used}"
     except BudgetExhausted as e:
         return f"BudgetExhausted {e.steps}"
     except RecursionError:
@@ -135,6 +137,14 @@ def _outcome(fn: Callable, *args, max_steps: Optional[int] = None) -> str:
     except Exception as e:  # a kernel bug is a result too
         return f"{type(e).__name__}: {e}"
     return f"ok {_show(value)} steps={budget.steps_used}"
+
+
+def _show_check_error(e) -> str:
+    """A ``CheckError``'s fields, read from the error itself or, in a tree
+    whose error wraps them in a record, from its ``diagnostic``."""
+    fields = getattr(e, "diagnostic", e)
+    names = ("rule", "message", "found", "expected", "context", "span")
+    return ", ".join(f"{name}={_show(getattr(fields, name))}" for name in names)
 
 
 def _run_cli(argv: list[str]) -> str:

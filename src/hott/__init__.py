@@ -4,9 +4,13 @@ Core syntax with nameless variables (`terms`), reduction and judgmental
 equality (`reduce`), bidirectional type checking (`check`), concrete
 syntax (`parser`, `pretty`), file processing (`loader`) and the command
 line (`cli`).
+
+A rejected term raises `CheckError`, which carries the violated `rule`,
+the `message`, the term `found`, the type `expected`, the `context` and,
+once the loader has located it, the `span`.
 """
 
-from .check import CheckError, Diagnostic, check, check_context, check_declaration, infer, infer_universe
+from .check import CheckError, check, check_context, check_declaration, infer, infer_universe
 from .reduce import BudgetExhausted, ReductionBudget, conv, normalize, whnf
 from .terms import (
     Context,
@@ -22,7 +26,6 @@ from .terms import (
 
 __all__ = [
     "CheckError",
-    "Diagnostic",
     "check",
     "check_context",
     "check_declaration",

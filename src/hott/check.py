@@ -27,7 +27,7 @@ against every universe and synthesize level 0; binary formers synthesize
 the maximum of their component levels; Universe(l) : Universe(l+1) and
 nothing else.
 
-Diagnostic rule names form a closed vocabulary:
+Rule names form a closed vocabulary:
 
     unbound-variable unbound-constant duplicate-name cannot-synthesize
     not-a-type not-a-function type-mismatch universe-mismatch
@@ -40,7 +40,6 @@ Diagnostic rule names form a closed vocabulary:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterator, Optional
 
@@ -72,6 +71,7 @@ from .terms import (
     Inl,
     Inr,
     Lambda,
+    LocatedError,
     Nat,
     Pair,
     Pi,
@@ -94,38 +94,15 @@ from .terms import (
     subst,
 )
 
-Span = tuple[int, int]
 
+class CheckError(LocatedError):
+    """A violated typing rule: its name, the offending term, the expected
+    shape when there is one, and the context it was checked in."""
 
-@dataclass
-class Diagnostic:
-    """Structured checker error: the violated rule, the offending term,
-    the expected shape when there is one, and a source span when the term
-    came from a file."""
-
-    rule: str
-    message: str
-    found: Optional[Term] = None
-    expected: Optional[Term] = None
-    context: Context = field(default_factory=Context)
-    span: Optional[Span] = None
-
-    def __str__(self) -> str:
-        loc = f"{self.span[0]}:{self.span[1]}: " if self.span else ""
-        return f"{loc}[{self.rule}] {self.message}"
-
-
-class CheckError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__()
-        self.diagnostic = diagnostic
-
-    def __str__(self) -> str:
-        return str(self.diagnostic)
-
-
-def _fail(rule: str, message: str, **kw) -> "CheckError":
-    return CheckError(Diagnostic(rule, message, **kw))
+    def __init__(self, rule: str, message: str, found: Optional[Term] = None, expected: Optional[Term] = None,
+                 context: Context = EMPTY_CONTEXT, span: Optional[tuple[int, int]] = None):
+        super().__init__(f"[{rule}] {message}", span)
+        self.rule, self.message, self.found, self.expected, self.context = rule, message, found, expected, context
 
 
 @contextmanager
@@ -140,9 +117,8 @@ def _premise(rule: str, prefix: Optional[str], ctx: Context) -> Iterator[None]:
     except CheckError as e:
         if prefix is None:
             raise
-        d = e.diagnostic
-        expected = None if rule == "context-entry" else d.expected
-        raise _fail(rule, prefix + d.message, found=d.found, expected=expected, context=ctx)
+        expected = None if rule == "context-entry" else e.expected
+        raise CheckError(rule, prefix + e.message, found=e.found, expected=expected, context=ctx)
 
 
 def _at(motive: Term, k: int, ctor: Term) -> Term:
@@ -209,7 +185,7 @@ def infer_universe(
     got = whnf(sig, infer(sig, ctx, ty, budget), budget, unfold=True)
     if isinstance(got, Universe):
         return got.level
-    raise _fail("not-a-type", "term does not inhabit a universe", found=ty, context=ctx)
+    raise CheckError("not-a-type", "term does not inhabit a universe", found=ty, context=ctx)
 
 
 def infer(
@@ -219,13 +195,13 @@ def infer(
     budget = budget or ReductionBudget()
     if isinstance(t, Var):
         if t.index >= len(ctx):
-            raise _fail("unbound-variable", f"variable index {t.index} out of scope", context=ctx)
+            raise CheckError("unbound-variable", f"variable index {t.index} out of scope", context=ctx)
         return ctx.lookup(t.index)
 
     if isinstance(t, Const):
         decl = sig.lookup(t.name)
         if decl is None:
-            raise _fail("unbound-constant", f"constant {t.name!r} is not declared", context=ctx)
+            raise CheckError("unbound-constant", f"constant {t.name!r} is not declared", context=ctx)
         return decl.type
 
     if isinstance(t, (Universe, Nat, Unit, Empty, Pi, Sigma, Coprod, Id, W, Trunc)):
@@ -253,8 +229,8 @@ def infer(
         for arg in reversed(args):
             fn_ty = whnf(sig, ty, budget, unfold=True)
             if not isinstance(fn_ty, Pi):
-                raise _fail("not-a-function", "application head is not of function type",
-                            found=fn_ty, context=ctx)
+                raise CheckError("not-a-function", "application head is not of function type",
+                                 found=fn_ty, context=ctx)
             check(sig, ctx, arg, fn_ty.domain, budget)
             ty = subst(fn_ty.codomain, 0, arg)
         return ty
@@ -269,7 +245,7 @@ def infer(
             former, what = scrutinee
             sc_ty = whnf(sig, infer(sig, ctx, t.scrutinee, budget), budget, unfold=True)
             if not isinstance(sc_ty, former):
-                raise _fail(rule, f"scrutinee is not {what}", found=sc_ty, context=ctx)
+                raise CheckError(rule, f"scrutinee is not {what}", found=sc_ty, context=ctx)
         infer_universe(sig, ctx.extend(sc_ty), t.motive, budget)
         for name, prefix, method_ty in methods:
             with _premise(rule, prefix, ctx):
@@ -290,10 +266,10 @@ def infer(
         return _inst2(t.motive, t.endpoint, t.path)
 
     if type(t) in INTRO:
-        raise _fail("cannot-synthesize", f"{type(t).__name__} is checkable only; an expected type is required",
-                    found=t, context=ctx)
+        raise CheckError("cannot-synthesize", f"{type(t).__name__} is checkable only; an expected type is required",
+                         found=t, context=ctx)
 
-    raise _fail("cannot-synthesize", f"no synthesis rule for {type(t).__name__}", context=ctx)
+    raise CheckError("cannot-synthesize", f"no synthesis rule for {type(t).__name__}", context=ctx)
 
 
 def _inst2(motive: Term, endpoint: Term, path: Term) -> Term:
@@ -347,8 +323,8 @@ def check(
     if isinstance(t, Lambda) and isinstance(want, Pi):  # else synthesis, failing as type-mismatch
         infer_universe(sig, ctx, t.domain, budget)
         if not conv(sig, t.domain, want.domain, budget):
-            raise _fail("lambda-domain-mismatch", "lambda annotation differs from expected domain",
-                        found=t.domain, expected=want.domain, context=ctx)
+            raise CheckError("lambda-domain-mismatch", "lambda annotation differs from expected domain",
+                             found=t.domain, expected=want.domain, context=ctx)
         check(sig, ctx.extend(want.domain), t.body, want.codomain, budget)
         return
 
@@ -356,13 +332,13 @@ def check(
     if intro is not None:
         former, rule, message, premises = intro
         if not isinstance(want, former):
-            raise _fail(rule, message, found=t, expected=want, context=ctx)
+            raise CheckError(rule, message, found=t, expected=want, context=ctx)
         for name, prefix, premise in premises:
             if name is None:
                 lhs, rhs = premise(t, want)
                 if not conv(sig, lhs, rhs, budget):
-                    raise _fail("refl-endpoints-not-convertible", "refl requires judgmentally equal endpoints",
-                                found=lhs, expected=rhs, context=ctx)
+                    raise CheckError("refl-endpoints-not-convertible", "refl requires judgmentally equal endpoints",
+                                     found=lhs, expected=rhs, context=ctx)
                 continue
             with _premise(rule, prefix, ctx):
                 check(sig, ctx, getattr(t, name), premise(t, want), budget)
@@ -372,15 +348,15 @@ def check(
         low, flexible = _levels(sig, ctx, t, budget)
         if want.level == low or (flexible and want.level >= low):
             return
-        raise _fail("universe-mismatch", f"type inhabits Universe({low}){' and above' if flexible else ''}, "
-                    f"not Universe({want.level})", found=t, expected=want, context=ctx)
+        raise CheckError("universe-mismatch", f"type inhabits Universe({low}){' and above' if flexible else ''}, "
+                         f"not Universe({want.level})", found=t, expected=want, context=ctx)
 
     got = infer(sig, ctx, t, budget)
     if not conv(sig, got, want, budget):
         rule = "universe-mismatch" if isinstance(got, Universe) and isinstance(want, Universe) \
             else "type-mismatch"
-        raise _fail(rule, "inferred type does not match expected type",
-                    found=got, expected=want, context=ctx)
+        raise CheckError(rule, "inferred type does not match expected type",
+                         found=got, expected=want, context=ctx)
 
 
 def check_declaration(
@@ -389,7 +365,7 @@ def check_declaration(
     """Check one declaration against ``sig`` and return the extension."""
     budget = budget or ReductionBudget()
     if sig.lookup(decl.name) is not None:
-        raise _fail("duplicate-name", f"{decl.name!r} is already declared")
+        raise CheckError("duplicate-name", f"{decl.name!r} is already declared")
     infer_universe(sig, EMPTY_CONTEXT, decl.type, budget)
     if decl.kind == DEFINITION:
         check(sig, EMPTY_CONTEXT, decl.body, decl.type, budget)

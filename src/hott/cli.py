@@ -18,28 +18,18 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .check import CheckError
-from .loader import AssertionFailed, FailExpected, ProcessOptions, execute, nesting_limit, process_module
-from .parser import LexError, ParseError, Parser, PragmaEval, ResolveError, parse_expression, resolve_expr, tokenize
-from .reduce import BudgetExhausted
-from .terms import DEFAULT_MAX_STEPS, EMPTY_SIGNATURE, Signature
+from .loader import ProcessOptions, execute, nesting_limit, process_module
+from .parser import LexError, ParseError, Parser, PragmaEval, parse_expression, resolve_expr, tokenize
+from .terms import DEFAULT_MAX_STEPS, EMPTY_SIGNATURE, LocatedError, Signature
 
 
 class UsageError(Exception):
     """A bad command line or an input file that cannot be read."""
 
 
-# The exit code of each failure a run can end in.
-EXIT_CODES: dict[type[Exception], int] = {
-    UsageError: 3,
-    LexError: 2,
-    ParseError: 2,
-    CheckError: 1,
-    ResolveError: 1,
-    AssertionFailed: 1,
-    FailExpected: 1,
-    BudgetExhausted: 1,
-}
+# The exit code of each failure a run can end in, the first row that
+# matches: every other failure of a file or an expression exits 1.
+EXIT_CODES: dict[type[Exception], int] = {UsageError: 3, LexError: 2, ParseError: 2, LocatedError: 1}
 _FAILURES = tuple(EXIT_CODES)
 
 

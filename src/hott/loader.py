@@ -2,8 +2,8 @@
 
 Files form a flat, ordered namespace; one growing signature is threaded
 through every item.  ``#fail`` inverts the outcome of its wrapped item,
-which is attempted and rolled back.  Diagnostics raised while processing
-an item that lacks a span of its own are stamped with the item's span.
+which is attempted and rolled back.  A failure raised while processing
+an item that lacks a span of its own is stamped with the item's span.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional
 
-from .check import CheckError, Diagnostic, check, check_declaration, infer, infer_universe
+from .check import CheckError, check, check_declaration, infer, infer_universe
 from .parser import (
     DefItem,
-    LocatedError,
     PostulateItem,
     PragmaAssert,
     PragmaCheck,
@@ -28,13 +27,14 @@ from .parser import (
     resolve,
 )
 from .pretty import pretty
-from .reduce import BudgetExhausted, ReductionBudget, conv, normalize, whnf
+from .reduce import ReductionBudget, conv, normalize, whnf
 from .terms import (
     DEFAULT_MAX_STEPS,
     DEFINITION,
     EMPTY_CONTEXT,
     POSTULATE,
     Declaration,
+    LocatedError,
     Nat,
     Signature,
     Term,
@@ -59,10 +59,6 @@ class ProcessOptions:
     err: Callable[[str], None] = field(default=lambda line: None)
 
 
-def _budget(opts: ProcessOptions) -> ReductionBudget:
-    return ReductionBudget(max_steps=opts.max_steps)
-
-
 def render_value(
     sig: Signature, value: Term, ty: Term, opts: ProcessOptions, budget: Optional[ReductionBudget] = None
 ) -> list[str]:
@@ -70,7 +66,7 @@ def render_value(
     numerals, everything else as concrete syntax.  Unfolding the type
     spends ``budget``, the item's own; a fresh one when none is given."""
     lines = []
-    ty_w = whnf(sig, ty, budget if budget is not None else _budget(opts), unfold=True)
+    ty_w = whnf(sig, ty, budget or ReductionBudget(max_steps=opts.max_steps), unfold=True)
     n = as_int(value)
     if isinstance(ty_w, Nat) and n is not None:
         lines.append(str(n))
@@ -82,23 +78,22 @@ def render_value(
 
 
 def execute(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Signature:
-    """Run one resolved item against the signature."""
+    """Run one resolved item against the signature, within one budget."""
+    bud = ReductionBudget(max_steps=opts.max_steps)
     if isinstance(item, DefItem):
         decl = Declaration(item.name, item.type.term, item.body.term, DEFINITION)
-        return check_declaration(sig, decl, _budget(opts))
+        return check_declaration(sig, decl, bud)
 
     if isinstance(item, PostulateItem):
         decl = Declaration(item.name, item.type.term, None, POSTULATE)
-        return check_declaration(sig, decl, _budget(opts))
+        return check_declaration(sig, decl, bud)
 
     if isinstance(item, PragmaCheck):
-        bud = _budget(opts)
         infer_universe(sig, EMPTY_CONTEXT, item.type.term, bud)
         check(sig, EMPTY_CONTEXT, item.expr.term, item.type.term, bud)
         return sig
 
     if isinstance(item, PragmaEval):
-        bud = _budget(opts)
         ty = infer(sig, EMPTY_CONTEXT, item.expr.term, bud)
         value = normalize(sig, item.expr.term, bud)
         for line in render_value(sig, value, ty, opts, bud):
@@ -106,7 +101,6 @@ def execute(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Signatur
         return sig
 
     if isinstance(item, PragmaAssert):
-        bud = _budget(opts)
         ty, lhs, rhs = item.type.term, item.lhs.term, item.rhs.term
         infer_universe(sig, EMPTY_CONTEXT, ty, bud)
         check(sig, EMPTY_CONTEXT, lhs, ty, bud)
@@ -139,7 +133,7 @@ def attempt_item(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Opt
         for resolved in resolve(module, sig):
             sig = execute(sig, resolved, opts)
     except CheckError as e:
-        return e.diagnostic.rule
+        return e.rule
     except ResolveError:
         return "unbound-identifier"
     except AssertionFailed:
@@ -147,13 +141,6 @@ def attempt_item(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Opt
     except FailExpected:
         return "fail-expected"
     return None
-
-
-def _stamp_span(exc: Exception, span) -> None:
-    if isinstance(exc, CheckError) and exc.diagnostic.span is None:
-        exc.diagnostic.span = span
-    elif isinstance(exc, BudgetExhausted):
-        exc.args = (f"{span[0]}:{span[1]}: {exc}",)
 
 
 @contextmanager
@@ -166,7 +153,7 @@ def nesting_limit(span) -> Iterator[None]:
         yield
     except RecursionError:
         message = "term nesting exceeds the interpreter's recursion limit"
-        raise CheckError(Diagnostic("max-depth", message, span=span)) from None
+        raise CheckError("max-depth", message, span=span) from None
 
 
 def _label(item: SurfaceItem) -> str:
@@ -188,8 +175,8 @@ def process_module(
             with nesting_limit(item.span):
                 started = time.perf_counter()
                 sig = execute(sig, item, opts)
-        except (CheckError, BudgetExhausted) as e:
-            _stamp_span(e, item.span)
+        except LocatedError as e:
+            e.span = e.span or item.span
             raise
         if opts.trace:
             elapsed = (time.perf_counter() - started) * 1000.0

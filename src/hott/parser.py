@@ -45,6 +45,7 @@ from .terms import (
     Inl,
     Inr,
     Lambda,
+    LocatedError,
     Pair,
     Pi,
     Sigma,
@@ -61,15 +62,6 @@ from .terms import (
 
 Span = tuple[int, int]
 T = TypeVar("T")
-
-
-class LocatedError(Exception):
-    """An error at a source position, read as ``line:col: message``; the
-    message alone when the position is unknown."""
-
-    def __init__(self, message: str, span: Optional[Span]):
-        super().__init__(f"{span[0]}:{span[1]}: {message}" if span else message)
-        self.span = span
 
 
 class LexError(LocatedError):

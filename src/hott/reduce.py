@@ -32,6 +32,7 @@ from .terms import (
     Inl,
     Inr,
     Lambda,
+    LocatedError,
     Pair,
     Refl,
     Signature,
@@ -50,7 +51,7 @@ from .terms import (
 )
 
 
-class BudgetExhausted(Exception):
+class BudgetExhausted(LocatedError):
     def __init__(self, steps: int):
         super().__init__(f"reduction budget exhausted after {steps} steps")
         self.steps = steps
@@ -200,14 +201,8 @@ def conv(sig: Signature, t1: Term, t2: Term, budget: ReductionBudget) -> bool:
         elif isinstance(a, Lambda):
             # The common type forces the domains; compare bodies.
             return conv(sig, a.body, b.body, budget)
-        else:
-            subs_a = list(subterms(a))
-            subs_b = list(subterms(b))
-            if len(subs_a) == len(subs_b):
-                return all(
-                    conv(sig, x, y, budget) for (x, _), (y, _) in zip(subs_a, subs_b)
-                )
-            return False
+        else:  # one former, so as many subterms on each side
+            return all(conv(sig, x, y, budget) for (x, _), (y, _) in zip(subterms(a), subterms(b)))
 
     if isinstance(a, Lambda) and not isinstance(b, Lambda):
         return conv(sig, a.body, App(shift(b, 0, 1), Var(0)), budget)

@@ -26,6 +26,18 @@ class KernelBug(Exception):
     """Internal invariant failure (never a user-facing diagnostic)."""
 
 
+class LocatedError(Exception):
+    """A failure a run can end in: read as ``line:col: message`` once its
+    ``span`` is set, which may be after it is raised; the message alone before."""
+
+    def __init__(self, message: str, span: Optional[tuple[int, int]] = None):
+        super().__init__(message)
+        self.span = span
+
+    def __str__(self) -> str:
+        return f"{self.span[0]}:{self.span[1]}: {self.args[0]}" if self.span else self.args[0]
+
+
 @dataclass(frozen=True)
 class Term:
     """Base class; one subclass per term former.
@@ -374,23 +386,44 @@ def as_int(t: Term) -> Optional[int]:
     return n if isinstance(base, Zero) else None
 
 
-@dataclass(frozen=True)
 class Context:
-    """Telescope of types; entry i is well-scoped over entries 0..i-1."""
+    """Telescope of types; entry i is well-scoped over entries 0..i-1.  A cons
+    cell: ``last`` is the newest entry and ``prefix`` the context it extends,
+    shared, so ``extend`` is O(1) and ``lookup`` walks ``index`` cells."""
 
-    entries: tuple[Term, ...] = ()
+    __slots__ = ("prefix", "last", "_length")
+
+    def __new__(cls, entries: Iterable[Term] = ()) -> "Context":
+        ctx = object.__new__(cls)
+        ctx.prefix, ctx.last, ctx._length = None, None, 0
+        for ty in entries:
+            ctx = ctx.extend(ty)
+        return ctx
 
     def extend(self, ty: Term) -> "Context":
-        return Context(self.entries + (ty,))
+        ctx = object.__new__(Context)
+        ctx.prefix, ctx.last, ctx._length = self, ty, self._length + 1
+        return ctx
+
+    @property
+    def entries(self) -> tuple[Term, ...]:
+        newest_first, ctx = [], self
+        while ctx._length:
+            newest_first.append(ctx.last)
+            ctx = ctx.prefix
+        return tuple(reversed(newest_first))
 
     def lookup(self, index: int) -> Term:
         """Type of ``Var(index)``, shifted into the full context."""
-        if index < 0 or index >= len(self.entries):
-            raise KernelBug(f"variable {index} out of context of length {len(self.entries)}")
-        return shift(self.entries[-1 - index], 0, index + 1)
+        if index < 0 or index >= self._length:
+            raise KernelBug(f"variable {index} out of context of length {self._length}")
+        ctx = self
+        for _ in range(index):
+            ctx = ctx.prefix
+        return shift(ctx.last, 0, index + 1)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._length
 
 
 EMPTY_CONTEXT = Context()

@@ -10,6 +10,11 @@ import threading
 import pytest
 
 from conftest import ROOT, run, stdlib_paths
+from hott import cli
+from hott.check import CheckError
+from hott.loader import AssertionFailed, FailExpected
+from hott.parser import LexError, ParseError, ResolveError
+from hott.reduce import BudgetExhausted
 
 STDLIB = [str(p) for p in stdlib_paths()]
 
@@ -138,6 +143,35 @@ def test_eval_renders_within_the_budget(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p\n", "")
 
 
+def test_budget_spent_inside_fail_is_no_rejection(tmp_path):
+    # The spent budget passes through #fail and is located at the #fail item.
+    src = tmp_path / "spend.hott"
+    src.write_text("def two : Nat := 2\ndef f : Nat -> Nat := \\(n : Nat). succ n\n#fail #eval f (f (f two))\n")
+    proc = run("check", "--max-steps", "2", str(src))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: 3:1: reduction budget exhausted after 3 steps\n"
+
+
+# Each failure a run can end in, its exit code and its one line.
+FAILURES = [
+    (LexError("unexpected character '@'", (1, 2)), 2, "error: 1:2: unexpected character '@'"),
+    (ParseError("unexpected ')'", (3, 4), {"eof"}), 2, "error: 3:4: unexpected ')' (expected one of: eof)"),
+    (ResolveError("unbound identifier 'x'", (5, 6)), 1, "error: 5:6: unbound identifier 'x'"),
+    (CheckError("type-mismatch", "no", span=(7, 1)), 1, "error: 7:1: [type-mismatch] no"),
+    (AssertionFailed("assert-eq: no", (8, 1)), 1, "error: 8:1: assert-eq: no"),
+    (FailExpected("accepted", (9, 1)), 1, "error: 9:1: accepted"),
+    (BudgetExhausted(3), 1, "error: reduction budget exhausted after 3 steps"),
+    (cli.UsageError("no such file: x"), 3, "error: no such file: x"),
+]
+
+
+@pytest.mark.parametrize("failure, code, line", FAILURES, ids=[type(f).__name__ for f, _, _ in FAILURES])
+def test_report_gives_each_failure_its_exit_code(failure, code, line):
+    lines = []
+    assert cli._report(failure, lines.append) == code
+    assert lines == [line]
+
+
 def test_max_steps_flag_budget():
     proc = run("eval", "--max-steps", "4", "--expr", "factorial 5", *STDLIB)
     assert proc.returncode == 1
@@ -200,8 +234,6 @@ def test_internal_error_one_line():
 
 
 def test_main_runs_on_the_callers_thread(monkeypatch, capsys):
-    from hott import cli
-
     def forbidden(*args):
         raise AssertionError("cli.main changed a process-wide setting or started a thread")
 

@@ -86,7 +86,7 @@ def test_premise_messages_name_the_premise():
             elif key in EXPECTED_PREFIXES:
                 with pytest.raises(CheckError) as e:
                     process_module(sig, SurfaceModule((item.item,), path.name))
-                messages[key] = e.value.diagnostic.message
+                messages[key] = e.value.message
     assert messages.keys() == EXPECTED_PREFIXES.keys()
     for key, prefix in EXPECTED_PREFIXES.items():
         assert messages[key].startswith(prefix), (key, messages[key])

@@ -222,7 +222,7 @@ def test_diagnostics_carry_spans(tmp_path):
     bad = parse("def ok : Nat := zero\ndef bad : Nat := star", "bad.hott")
     with pytest.raises(CheckError) as e:
         process_module(EMPTY_SIGNATURE, bad)
-    assert e.value.diagnostic.span == (2, 1)
+    assert e.value.span == (2, 1)
 
 
 def test_budget_exhaustion_carries_span(stdlib_sig):

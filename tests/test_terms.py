@@ -14,6 +14,7 @@ from hott.terms import (
     NAT,
     ZERO,
     App,
+    Const,
     Context,
     Declaration,
     KernelBug,
@@ -85,6 +86,19 @@ def test_context_lookup_shifts():
     ctx = Context().extend(NAT).extend(App(Var(0), ZERO))
     assert ctx.lookup(0) == App(Var(1), ZERO)
     assert ctx.lookup(1) == NAT
+
+
+def test_context_extend_shares_the_context_it_extends():
+    ctx = Context((NAT,))
+    grown = ctx.extend(App(Var(0), ZERO))
+    assert grown.prefix is ctx
+    assert grown.entries == (NAT, App(Var(0), ZERO)) and ctx.entries == (NAT,)
+    wide = Context()
+    for i in range(100_000):
+        wide = wide.extend(Const(f"c{i}"))
+    assert len(wide) == 100_000
+    assert wide.lookup(0) == Const("c99999")
+    assert wide.lookup(99_999) == Const("c0")
 
 
 def test_signature_rejects_duplicates():

@@ -52,7 +52,7 @@ CTX = EMPTY_CONTEXT
 
 
 def rule_of(excinfo) -> str:
-    return excinfo.value.diagnostic.rule
+    return excinfo.value.rule
 
 
 def add(m, n):
@@ -87,7 +87,7 @@ def test_every_former_has_a_typing_rule():
             infer(SIG, Context((NAT,)), t)
             message = ""
         except CheckError as e:
-            message = e.diagnostic.message
+            message = e.message
         assert "no synthesis rule" not in message, former
         assert ("checkable only" in message) == (former in INTRO), former
 
