@@ -67,12 +67,15 @@ ARITHMETIC = {"add": (60, 60), "min": (60, 60), "max": (60, 60), "dist": (60, 60
               "mul": (30, 5), "exp": (4, 5), "binom": (10, 4)}
 
 # Words of the token soup: keywords, punctuation, names declared in
-# ``NAMES`` and two that are not, and the printing placeholder.
+# ``NAMES`` and two that are not, and the printing placeholder; then, for
+# the lexer, a comment, blanks, bad directives, stray characters and words
+# that border on a name.
 SOUP = [
     "\\", "(", ")", ":", ".", ",", "->", "+", "=", "in", "Sig", "Type", "Nat", "Unit",
     "Empty", "zero", "succ", "star", "refl", "pair", "inl", "inr", "eta", "tree", "Trunc",
     "W", "Id", "ind-nat", "ind-sigma", "ind-unit", "ind-empty", "ind-sum", "ind-eq",
     "ind-w", "ind-trunc", "0", "1", "3", "x", "y", "add", "c", "undeclared", "_",
+    "--", "\t", "\r\n", "#", "#bogus", "@", "é", "a-b", "a--b", "12ab",
 ]
 NAMES = {"add", "c", "x"}
 FORM_ARITY = {

@@ -124,11 +124,10 @@ def execute(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Signatur
 
 
 def attempt_item(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Optional[str]:
-    """Try one surface item in isolation; the rejection rule name when it
-    fails, None when it is accepted (the signature is discarded)."""
+    """Try one surface item in isolation and in silence: the rejection rule
+    name when it fails, None when it is accepted (the signature is discarded)."""
     module = SurfaceModule((item,), "<fail>")
-    if opts.trace:  # nothing inside an attempt is traced, a nested #fail included
-        opts = replace(opts, trace=False)
+    opts = replace(opts, trace=False, out=lambda line: None)
     try:
         for resolved in resolve(module, sig):
             sig = execute(sig, resolved, opts)

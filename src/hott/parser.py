@@ -1,6 +1,8 @@
 """Concrete syntax: lexer, parser and name resolution for ``.hott`` files.
 
 The grammar is ASCII-only.  Line comments run from ``--`` to end of line.
+``_LEXEME`` is the one statement of the lexical grammar; ``tokenize``
+only reads its matches.
 ``CONSTANTS`` and ``FORMS`` are the one place a keyword former is spelled:
 lexing, parsing and printing (``pretty``) all read them.  A keyword former
 takes its fields in order, as atoms; eliminators take the motive first.
@@ -19,7 +21,7 @@ binders stay readable; resolving it is an error.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
@@ -127,74 +129,45 @@ class Token:
     span: Span
 
 
-# ASCII only: str.isdigit and str.isalpha also accept other scripts.
-DIGITS = frozenset(string.digits)
-LETTERS = frozenset(string.ascii_letters)
-IDENT_CHARS = DIGITS | LETTERS | frozenset("_'")
-
-
-def _ident_char(c: str) -> bool:
-    return c in IDENT_CHARS
+# The lexical grammar: after blanks, the first alternative that matches.
+_NAME_TAIL = r"(?:[A-Za-z0-9_']|-(?=[A-Za-z0-9_']))*"  # ASCII only; a - only before a name character
+_LEXEME = re.compile(
+    rf"""[ \t\r]*(?:  # a tab or a \r is one column
+      (?P<newline>\n)
+    | (?P<comment>--[^\n]*)
+    | (?P<directive>\#{_NAME_TAIL})
+    | (?P<nat>[0-9]+)
+    | (?P<name>[A-Za-z_]{_NAME_TAIL})
+    | (?P<punct>{"|".join(map(re.escape, PUNCT))})  # in the order of PUNCT, longest first
+    | (?P<stray>.)
+    | (?P<eof>\Z))""",
+    re.VERBOSE,
+)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0  # the current line and the offset it starts at
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        word = m[kind]
+        span = (line, m.start(kind) - line_start + 1)
+        if kind == "name":
+            kind = word if word in KEYWORDS else "hole" if word == "_" else "ident"
+        elif kind == "punct" or (kind == "directive" and word in DIRECTIVES):
+            kind = word
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        elif kind == "comment":
             continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = (line, col)
-        if c == "#":
-            j = i + 1
-            while j < n and (_ident_char(text[j]) or (text[j] == "-" and j + 1 < n and _ident_char(text[j + 1]))):
-                j += 1
-            word = text[i:j]
-            if word not in DIRECTIVES:
-                raise LexError(f"unknown directive {word!r}", span)
-            tokens.append(Token(word, word, span))
-            col += j - i
-            i = j
-            continue
-        if c in DIGITS:
-            j = i
-            while j < n and text[j] in DIGITS:
-                j += 1
-            tokens.append(Token("nat", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if c in LETTERS or c == "_":
-            j = i
-            while j < n and (_ident_char(text[j]) or (text[j] == "-" and j + 1 < n and _ident_char(text[j + 1]))):
-                j += 1
-            word = text[i:j]
-            kind = word if word in KEYWORDS else ("hole" if word == "_" else "ident")
-            tokens.append(Token(kind, word, span))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, span))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise LexError(f"unexpected character {c!r}", span)
-    tokens.append(Token("eof", "", (line, col)))
+        elif kind == "directive":
+            raise LexError(f"unknown directive {word!r}", span)
+        elif kind == "stray":
+            raise LexError(f"unexpected character {word!r}", span)
+        tokens.append(Token(kind, word, span))
+        if kind == "eof":  # trailing blanks match with the end, which would then match again, empty
+            break
     return tokens
 
 
@@ -272,7 +245,7 @@ class Parser:
         self.names: list[tuple[str, Span]] = []  # free names of the expression being read
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def next(self) -> Token:
         tok = self.peek()

@@ -152,6 +152,25 @@ def test_budget_spent_inside_fail_is_no_rejection(tmp_path):
     assert proc.stderr == "error: 3:1: reduction budget exhausted after 3 steps\n"
 
 
+def test_accepted_fail_prints_nothing_but_its_error(tmp_path):
+    # The wrapped #eval runs only as an attempt: its value is not printed.
+    src = tmp_path / "leak.hott"
+    src.write_text("def two : Nat := 2\ndef f : Nat -> Nat := \\(n : Nat). succ n\n#fail #eval f (f (f two))\n")
+    proc = run("check", str(src))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: 3:1: item wrapped in #fail was accepted\n"
+
+
+def test_end_of_input_after_trailing_comment(tmp_path):
+    # The end of input is located after the comment, not at its start.
+    src = tmp_path / "missing.hott"
+    src.write_text("def x : Nat := -- the body is missing")
+    proc = run("check", str(src))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: 1:38: unexpected ''")
+    assert_one_error_line(proc.stderr)
+
+
 # Each failure a run can end in, its exit code and its one line.
 FAILURES = [
     (LexError("unexpected character '@'", (1, 2)), 2, "error: 1:2: unexpected character '@'"),

@@ -60,6 +60,44 @@ def test_tokenize_rejects_stray_character(src):
         tokenize(src)
 
 
+# Text -> its (kind, text, span) tokens, or the LexError it raises and where.
+LEXER_CASES = [
+    # columns: a tab and a \r are one column each; \r\n ends a line
+    ("\tx", [("ident", "x", (1, 2)), ("eof", "", (1, 3))]),
+    ("\rx", [("ident", "x", (1, 2)), ("eof", "", (1, 3))]),
+    ("x\r\ny", [("ident", "x", (1, 1)), ("ident", "y", (2, 1)), ("eof", "", (2, 2))]),
+    # names: a - joins name characters only
+    ("a-b", [("ident", "a-b", (1, 1)), ("eof", "", (1, 4))]),
+    ("a--b", [("ident", "a", (1, 1)), ("eof", "", (1, 5))]),
+    ("a->b", [("ident", "a", (1, 1)), ("->", "->", (1, 2)), ("ident", "b", (1, 4)), ("eof", "", (1, 5))]),
+    ("x'", [("ident", "x'", (1, 1)), ("eof", "", (1, 3))]),
+    ("_", [("hole", "_", (1, 1)), ("eof", "", (1, 2))]),
+    ("_x", [("ident", "_x", (1, 1)), ("eof", "", (1, 3))]),
+    ("12ab", [("nat", "12", (1, 1)), ("ident", "ab", (1, 3)), ("eof", "", (1, 5))]),
+    # directives
+    ("#assert-eq", [("#assert-eq", "#assert-eq", (1, 1)), ("eof", "", (1, 11))]),
+    ("#assert-", ("unknown directive '#assert'", (1, 1))),
+    ("x #foo", ("unknown directive '#foo'", (1, 3))),
+    ("#", ("unknown directive '#'", (1, 1))),
+    # stray characters
+    ("x -", ("unexpected character '-'", (1, 3))),
+    ("é", ("unexpected character 'é'", (1, 1))),
+    ("\n\f", ("unexpected character '\\x0c'", (2, 1))),
+    # the end of input, after a comment that ends the text
+    ("x -- no newline", [("ident", "x", (1, 1)), ("eof", "", (1, 16))]),
+]
+
+
+@pytest.mark.parametrize("text, expected", LEXER_CASES, ids=[repr(text) for text, _ in LEXER_CASES])
+def test_tokenize_edge_cases(text, expected):
+    if isinstance(expected, list):
+        assert [(t.kind, t.text, t.span) for t in tokenize(text)] == expected
+    else:
+        with pytest.raises(LexError) as info:
+            tokenize(text)
+        assert (info.value.args[0], info.value.span) == expected
+
+
 def test_tokenize_spans():
     toks = tokenize("def x : Nat\n  := zero")
     assert toks[0].span == (1, 1)
