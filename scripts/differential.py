@@ -18,7 +18,8 @@ used.  The families:
 - ``cli``: ``hott check`` on the stdlib under four flag sets and on the
   stdlib plus each ``tests/negative/`` file under three, and ``hott eval``
   of nine expressions at three budgets over the definitions of ``prelude``
-  and ``nat``: stdout, stderr (times masked) and exit code.
+  and ``nat``, and with and without ``--trace`` over those two files,
+  pragmas included: stdout, stderr (times masked) and exit code.
 - ``front``: token soup and grammar-directed text through
   ``parse_expression`` + ``resolve_expr``, and every stdlib record.
 - ``kernel``: ``infer`` and ``check`` with full diagnostics on the
@@ -183,6 +184,10 @@ def cli_probes() -> Iterator[Probe]:
             for budget in EVAL_BUDGETS:
                 argv = ["eval", "--print-normal-forms", "--max-steps", budget, "--expr", expr, str(definitions)]
                 yield f"eval {expr!r} {budget}", _run_cli(argv)
+    for expr in EVAL_EXPRS:  # the files' pragmas run too: silenced, and traced under --trace
+        for flags in ([], ["--trace"]):
+            argv = ["eval", *flags, "--expr", expr, *stdlib[:2]]
+            yield " ".join(["eval", *flags, repr(expr), "prelude nat"]), _run_cli(argv)
 
 
 def _definitions(path: Path) -> str:

@@ -45,7 +45,6 @@ from typing import Iterator, Optional
 
 from .reduce import ReductionBudget, conv, whnf
 from .terms import (
-    DEFINITION,
     EMPTY,
     EMPTY_CONTEXT,
     NAT,
@@ -367,7 +366,7 @@ def check_declaration(
     if sig.lookup(decl.name) is not None:
         raise CheckError("duplicate-name", f"{decl.name!r} is already declared")
     infer_universe(sig, EMPTY_CONTEXT, decl.type, budget)
-    if decl.kind == DEFINITION:
+    if decl.body is not None:
         check(sig, EMPTY_CONTEXT, decl.body, decl.type, budget)
     return sig.extend(decl)
 

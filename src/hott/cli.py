@@ -2,8 +2,11 @@
 
 ``hott check FILES...`` processes files in the given order, threading one
 growing signature, and executes every pragma.  ``hott eval --expr E
-FILES...`` additionally normalizes a closed expression in the resulting
-signature and prints it (Nat-typed results print as decimal numerals).
+FILES...`` runs the files' items with their output suppressed, then runs
+``E`` as one ``#eval`` item at ``1:1`` in the resulting signature: its
+value prints (Nat-typed results as decimal numerals), and every failure
+of ``E`` is located at ``1:1``.  Both run each item through
+``loader.process_module``.
 
 Exit codes: 0 success; 1 type, conversion, assertion or budget failure;
 2 lexer or parser failure; 3 usage or I/O failure.  An unexpected
@@ -15,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .loader import ProcessOptions, execute, nesting_limit, process_module
-from .parser import LexError, ParseError, Parser, PragmaEval, parse_expression, resolve_expr, tokenize
-from .terms import DEFAULT_MAX_STEPS, EMPTY_SIGNATURE, LocatedError, Signature
+from .loader import ProcessOptions, process_module
+from .parser import LexError, ParseError, Parser, PragmaEval, SurfaceModule, parse_expression, tokenize
+from .terms import DEFAULT_MAX_STEPS, EMPTY_SIGNATURE, LocatedError
 
 
 class UsageError(Exception):
@@ -60,48 +64,27 @@ def _parse_file(path: str):
     return Parser(tokenize(text)).parse_module(path)
 
 
-def _load(args: argparse.Namespace, out, err) -> Signature:
-    opts = ProcessOptions(
-        max_steps=args.max_steps,
-        trace=args.trace,
-        print_normal_forms=args.print_normal_forms,
-        out=out,
-        err=err,
-    )
-    # Every file is parsed before the first is checked, so a syntax error
-    # anywhere stops the run before any pragma prints.
-    modules = [_parse_file(path) for path in args.paths]
-    sig = EMPTY_SIGNATURE
-    for module in modules:
-        sig = process_module(sig, module, opts)
-    return sig
-
-
 def _stderr(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        _validate(args)
-        _load(args, print, _stderr)
-    except _FAILURES as e:
-        return _report(e, _stderr)
-    return 0
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        _validate(args)
-        sig = _load(args, lambda line: None, _stderr)  # pragma output suppressed
-        opts = ProcessOptions(max_steps=args.max_steps, print_normal_forms=args.print_normal_forms)
-        with nesting_limit((1, 1)):
-            expr = parse_expression(args.expr)
-            resolve_expr(expr, [], sig)
-            execute(sig, PragmaEval((1, 1), expr), opts)  # as an #eval pragma: nothing prints unless it succeeds
-    except _FAILURES as e:
-        return _report(e, _stderr)
-    return 0
+def _run(args: argparse.Namespace) -> None:
+    _validate(args)
+    # Every file is parsed before the first is checked, so a syntax error
+    # anywhere stops the run before any pragma prints.
+    modules = [_parse_file(path) for path in args.paths]
+    opts = ProcessOptions(
+        max_steps=args.max_steps,
+        trace=_stderr if args.trace else None,
+        print_normal_forms=args.print_normal_forms,
+        out=print if args.command == "check" else lambda line: None,  # eval: the files print nothing
+    )
+    sig = EMPTY_SIGNATURE
+    for module in modules:
+        sig = process_module(sig, module, opts)
+    if args.command == "eval":
+        expr = SurfaceModule((PragmaEval((1, 1), parse_expression(args.expr)),), "<expr>")
+        process_module(sig, expr, replace(opts, trace=None, out=print))
 
 
 class ArgumentParser(argparse.ArgumentParser):
@@ -134,16 +117,15 @@ def build_arg_parser() -> ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_arg_parser().parse_args(argv)
-    except UsageError as e:
-        return _report(e, _stderr)
+        _run(build_arg_parser().parse_args(argv))
     except SystemExit:  # --help, after printing the help
         return 0
-    try:
-        return cmd_check(args) if args.command == "check" else cmd_eval(args)
+    except _FAILURES as e:
+        return _report(e, _stderr)
     except Exception as e:  # a bug, reported in one line with a defined code
         _stderr(f"error: internal error: {type(e).__name__}: {e}")
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,17 +1,22 @@
 """Driver: lower parsed modules into signature extensions and pragma runs.
 
 Files form a flat, ordered namespace; one growing signature is threaded
-through every item.  ``#fail`` inverts the outcome of its wrapped item,
-which is attempted and rolled back.  A failure raised while processing
-an item that lacks a span of its own is stamped with the item's span.
+through every item.  ``process_module`` is the one loop that runs items,
+for a file and for ``hott eval``'s expression alike.  A failure raised
+while running an item that lacks a span of its own is stamped with the
+item's span, and so is nesting past the interpreter's recursion limit, as
+``[max-depth]``.  ``#fail`` inverts the outcome of its wrapped item,
+which is attempted and rolled back.  A failure is a rejection when it
+names its ``rule``.  A spent budget names none, and nesting too deep is a
+``RecursionError`` until ``process_module`` catches it, so neither is
+a rejection that a ``#fail`` accepts.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from .check import CheckError, check, check_declaration, infer, infer_universe
 from .parser import (
@@ -21,7 +26,6 @@ from .parser import (
     PragmaCheck,
     PragmaEval,
     PragmaFail,
-    ResolveError,
     SurfaceItem,
     SurfaceModule,
     resolve,
@@ -30,9 +34,7 @@ from .pretty import pretty
 from .reduce import ReductionBudget, conv, normalize, whnf
 from .terms import (
     DEFAULT_MAX_STEPS,
-    DEFINITION,
     EMPTY_CONTEXT,
-    POSTULATE,
     Declaration,
     LocatedError,
     Nat,
@@ -45,18 +47,21 @@ from .terms import (
 class AssertionFailed(LocatedError):
     """An ``#assert-eq`` or ``#assert-neq`` whose sides disagree with it."""
 
+    rule = "assertion-failed"
+
 
 class FailExpected(LocatedError):
     """A ``#fail`` item was accepted by the checker."""
+
+    rule = "fail-expected"
 
 
 @dataclass
 class ProcessOptions:
     max_steps: int = DEFAULT_MAX_STEPS
-    trace: bool = False
+    trace: Optional[Callable[[str], None]] = None  # where ``--trace`` lines go; None: nowhere
     print_normal_forms: bool = False
-    out: Callable[[str], None] = field(default=lambda line: print(line))
-    err: Callable[[str], None] = field(default=lambda line: None)
+    out: Callable[[str], None] = print
 
 
 def render_value(
@@ -80,13 +85,9 @@ def render_value(
 def execute(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Signature:
     """Run one resolved item against the signature, within one budget."""
     bud = ReductionBudget(max_steps=opts.max_steps)
-    if isinstance(item, DefItem):
-        decl = Declaration(item.name, item.type.term, item.body.term, DEFINITION)
-        return check_declaration(sig, decl, bud)
-
-    if isinstance(item, PostulateItem):
-        decl = Declaration(item.name, item.type.term, None, POSTULATE)
-        return check_declaration(sig, decl, bud)
+    if isinstance(item, (DefItem, PostulateItem)):
+        body = item.body.term if isinstance(item, DefItem) else None
+        return check_declaration(sig, Declaration(item.name, item.type.term, body), bud)
 
     if isinstance(item, PragmaCheck):
         infer_universe(sig, EMPTY_CONTEXT, item.type.term, bud)
@@ -117,7 +118,7 @@ def execute(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Signatur
         if outcome is None:
             raise FailExpected("item wrapped in #fail was accepted", item.span)
         if opts.trace:
-            opts.err(f"#fail: rejected as expected [{outcome}]")
+            opts.trace(f"#fail: rejected as expected [{outcome}]")
         return sig
 
     raise AssertionError(f"unknown item {item!r}")
@@ -125,34 +126,18 @@ def execute(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Signatur
 
 def attempt_item(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Optional[str]:
     """Try one surface item in isolation and in silence: the rejection rule
-    name when it fails, None when it is accepted (the signature is discarded)."""
+    name when it fails, None when it is accepted (the signature is discarded).
+    A failure that names no rule is no rejection and passes."""
     module = SurfaceModule((item,), "<fail>")
-    opts = replace(opts, trace=False, out=lambda line: None)
+    opts = replace(opts, trace=None, out=lambda line: None)
     try:
         for resolved in resolve(module, sig):
             sig = execute(sig, resolved, opts)
-    except CheckError as e:
+    except LocatedError as e:
+        if e.rule is None:
+            raise
         return e.rule
-    except ResolveError:
-        return "unbound-identifier"
-    except AssertionFailed:
-        return "assertion-failed"
-    except FailExpected:
-        return "fail-expected"
     return None
-
-
-@contextmanager
-def nesting_limit(span) -> Iterator[None]:
-    """Around running the item at ``span``: a ``RecursionError``
-    ends it with one ``[max-depth]`` diagnostic there.  Like a spent budget,
-    it is no rejection: ``attempt_item`` lets it pass, so no ``#fail``
-    accepts it."""
-    try:
-        yield
-    except RecursionError:
-        message = "term nesting exceeds the interpreter's recursion limit"
-        raise CheckError("max-depth", message, span=span) from None
 
 
 def _label(item: SurfaceItem) -> str:
@@ -170,16 +155,18 @@ def process_module(
 ) -> Signature:
     opts = opts or ProcessOptions()
     for item in resolve(module, sig):  # each item resolved as it is drawn
+        started = time.perf_counter()
         try:
-            with nesting_limit(item.span):
-                started = time.perf_counter()
-                sig = execute(sig, item, opts)
+            sig = execute(sig, item, opts)
+        except RecursionError:
+            message = "term nesting exceeds the interpreter's recursion limit"
+            raise CheckError("max-depth", message, span=item.span) from None
         except LocatedError as e:
             e.span = e.span or item.span
             raise
         if opts.trace:
             elapsed = (time.perf_counter() - started) * 1000.0
-            opts.err(f"{module.path}:{item.span[0]}: {_label(item)} ok ({elapsed:.1f} ms)")
+            opts.trace(f"{module.path}:{item.span[0]}: {_label(item)} ok ({elapsed:.1f} ms)")
     return sig
 
 
@@ -187,7 +174,7 @@ def fail_outcomes(
     sig: Signature, module: SurfaceModule, opts: Optional[ProcessOptions] = None
 ) -> list[tuple[SurfaceItem, Optional[str]]]:
     """For inspection by tests: run a module and report, for each #fail
-    item, the diagnostic rule (or exception name) it was rejected with."""
+    item, the rule it was rejected with (None when it was accepted)."""
     opts = opts or ProcessOptions()
     outcomes: list[tuple[SurfaceItem, Optional[str]]] = []
     for item in module.items:

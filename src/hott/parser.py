@@ -80,6 +80,8 @@ class ParseError(LocatedError):
 class ResolveError(LocatedError):
     """A free name that is not declared, or a ``_``."""
 
+    rule = "unbound-identifier"
+
 
 # Keyword -> the constant it denotes.
 CONSTANTS: dict[str, Term] = {

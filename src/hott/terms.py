@@ -15,7 +15,6 @@ through ``t.__dict__``, which would give every node its own dict object.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator, Optional
 
@@ -28,7 +27,11 @@ class KernelBug(Exception):
 
 class LocatedError(Exception):
     """A failure a run can end in: read as ``line:col: message`` once its
-    ``span`` is set, which may be after it is raised; the message alone before."""
+    ``span`` is set, which may be after it is raised; the message alone before.
+    A rejection names the ``rule`` it broke; a failure with no rule is no
+    rejection, so no ``#fail`` accepts it."""
+
+    rule: Optional[str] = None
 
     def __init__(self, message: str, span: Optional[tuple[int, int]] = None):
         super().__init__(message)
@@ -428,22 +431,12 @@ class Context:
 
 EMPTY_CONTEXT = Context()
 
-DEFINITION = "definition"
-POSTULATE = "postulate"
-
 
 @dataclass(frozen=True)
 class Declaration:
     name: str
     type: Term
-    body: Optional[Term]
-    kind: str = DEFINITION
-
-    def __post_init__(self) -> None:
-        if self.kind == DEFINITION and self.body is None:
-            raise KernelBug(f"definition {self.name} lacks a body")
-        if self.kind == POSTULATE and self.body is not None:
-            raise KernelBug(f"{self.kind} {self.name} must not have a body")
+    body: Optional[Term]  # None for a postulate
 
 
 class Signature:
@@ -470,10 +463,9 @@ class Signature:
     def extend(self, decl: Declaration) -> "Signature":
         if self.lookup(decl.name) is not None:
             raise KernelBug(f"duplicate declaration {decl.name}")
-        with _APPENDING:  # check-then-append on a store other threads may share
-            line = self if 0 < self._size == len(self._decls) else Signature(self.declarations)
-            line._index[decl.name] = (line._size, decl)
-            line._decls.append(decl)
+        line = self if 0 < self._size == len(self._decls) else Signature(self.declarations)
+        line._index[decl.name] = (line._size, decl)
+        line._decls.append(decl)
         new = object.__new__(Signature)
         new._decls, new._index, new._size = line._decls, line._index, line._size + 1
         return new
@@ -486,5 +478,4 @@ class Signature:
         return self._index.get(name, (self._size,))[0] < self._size
 
 
-_APPENDING = threading.Lock()
 EMPTY_SIGNATURE = Signature()

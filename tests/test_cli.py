@@ -113,7 +113,7 @@ def test_eval_budget_exhausted_while_rendering(tmp_path):
     src.write_text("def MyNat : Type 0 := Nat\npostulate p : MyNat\n")
     proc = run("eval", "--max-steps", "0", "--expr", "p", str(src))
     assert proc.returncode == 1
-    assert proc.stderr == "error: reduction budget exhausted after 1 steps\n"
+    assert proc.stderr == "error: 1:1: reduction budget exhausted after 1 steps\n"
 
 
 # One step normalizes q to p and one more unfolds MyNat to decide how p
@@ -138,9 +138,26 @@ def test_eval_renders_within_the_budget(tmp_path):
     proc = run("eval", "--max-steps", "1", "--expr", "q", str(src))
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == "error: reduction budget exhausted after 2 steps\n"
+    assert proc.stderr == "error: 1:1: reduction budget exhausted after 2 steps\n"
     proc = run("eval", "--max-steps", "2", "--expr", "q", str(src))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p\n", "")
+
+
+def test_eval_type_error_is_located_at_the_expression():
+    # The expression runs as one #eval item at 1:1, so its failures are located there.
+    proc = run("eval", "--expr", "zero zero", STDLIB[0])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: 1:1: [not-a-function] application head is not of function type\n"
+
+
+def test_eval_traces_the_files_and_not_the_expression():
+    proc = run("eval", "--trace", "--expr", "add 2 3", *STDLIB[:2])
+    assert (proc.returncode, proc.stdout) == (0, "5\n")
+    check = run("check", "--trace", *STDLIB[:2])
+    assert check.returncode == 0
+    times = re.compile(r"\(\d+\.\d+ ms\)")
+    assert times.sub("", proc.stderr) == times.sub("", check.stderr)
+    assert "<expr>" not in proc.stderr
 
 
 def test_budget_spent_inside_fail_is_no_rejection(tmp_path):

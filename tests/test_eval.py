@@ -124,7 +124,7 @@ def test_conv_unfolds_definitions_on_demand():
 
 
 def test_conv_same_postulate_applied():
-    sig = EMPTY_SIGNATURE.extend(Declaration("f", Pi(NAT, NAT), None, "postulate"))
+    sig = EMPTY_SIGNATURE.extend(Declaration("f", Pi(NAT, NAT), None))
     lhs = App(Const("f"), numeral(1))
     assert conv(sig, lhs, App(Const("f"), add(numeral(1), ZERO)), bud())
     assert not conv(sig, lhs, App(Const("f"), numeral(2)), bud())

@@ -35,6 +35,10 @@ EXPECTED_RULES = {
     ("rejections.hott", 78): "Coprod-ind",
     ("rejections.hott", 82): "W-ind",
     ("rejections.hott", 89): "Trunc-ind",
+    ("rejections.hott", 95): "not-a-type",
+    ("rejections.hott", 98): "Sigma-ind",
+    ("rejections.hott", 101): "Coprod-intro",
+    ("rejections.hott", 104): "Trunc-intro",
 }
 
 # A failed premise of an eliminator or of tree is reported under the
@@ -103,6 +107,6 @@ def test_cli_accepts_negative_corpus(capsys):
 def test_nested_fail_inverts_twice_and_traces_nothing():
     module = parse("#fail #fail def bad : Nat := star\n#fail #fail def fine : Nat := zero\n")
     trace: list[str] = []
-    outcomes = fail_outcomes(EMPTY_SIGNATURE, module, ProcessOptions(trace=True, err=trace.append))
+    outcomes = fail_outcomes(EMPTY_SIGNATURE, module, ProcessOptions(trace=trace.append))
     assert [rule for _, rule in outcomes] == [None, "fail-expected"]
     assert trace == []

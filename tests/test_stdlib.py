@@ -14,7 +14,6 @@ from hott.parser import parse_expression, resolve_expr
 from hott.reduce import ReductionBudget, conv, normalize
 from hott.terms import (
     EMPTY_CONTEXT,
-    POSTULATE,
     Const,
     as_int,
 )
@@ -102,7 +101,7 @@ def test_tiers_have_no_unexpected_postulates(stdlib_sig):
         kinds = {t.kind for t in tokenize((STDLIB / name).read_text())}
         assert "postulate" not in kinds, name
     # signature scan: census of postulated names
-    postulated = {d.name for d in stdlib_sig.declarations if d.kind == POSTULATE}
+    postulated = {d.name for d in stdlib_sig.declarations if d.body is None}
     assert postulated == EXPECTED_POSTULATES
 
 

@@ -160,7 +160,7 @@ def test_check_declaration_and_duplicates():
 
 
 def test_check_declaration_postulate():
-    sig = check_declaration(SIG, Declaration("oracle", Pi(NAT, NAT), None, "postulate"))
+    sig = check_declaration(SIG, Declaration("oracle", Pi(NAT, NAT), None))
     assert infer(sig, CTX, App(Const("oracle"), ZERO)) == NAT
 
 

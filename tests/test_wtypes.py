@@ -169,14 +169,12 @@ def test_ind_trunc_open_motive_over_context():
     sig = SIG
     sig = check_declaration(
         sig,
-        Declaration(
-            "T0", UNIVERSE0, None, "postulate"
-        ),
+        Declaration("T0", UNIVERSE0, None),
     )
     from hott.terms import Const
 
     sig = check_declaration(
-        sig, Declaration("t0", Const("T0"), None, "postulate")
+        sig, Declaration("t0", Const("T0"), None)
     )
     T0, t0 = Const("T0"), Const("t0")
     sig = check_declaration(
@@ -185,7 +183,6 @@ def test_ind_trunc_open_motive_over_context():
             "T0-prop",
             Pi(Trunc(UNIT), Pi(T0, Pi(T0, Id(T0, Var(1), Var(0))))),
             None,
-            "postulate",
         ),
     )
     # the scrutinee position synthesizes, so the point constructor enters
