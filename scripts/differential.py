@@ -26,7 +26,10 @@ used.  The families:
   criterion-5 population, on ``random_scoped_term`` terms and on every
   stdlib declaration.
 - ``reduce``: ``whnf`` (with and without ``unfold``), ``normalize`` and
-  ``conv`` on the same populations and on stdlib arithmetic.
+  ``conv`` on the same populations and on stdlib arithmetic; and a budget
+  ladder: ``normalize`` and ``whnf`` with ``unfold`` of ten arithmetic
+  spines at every ``max_steps`` from 0 to the steps each takes, so that
+  every point where a budget runs out is compared.
 - ``fail``: ``fail_outcomes`` on each ``tests/negative/`` file.
 - ``bulk``: ``hott check --trace`` on the benchmark's seed-7 library of
   5,000 small items, from ``perfbench/corpus.py``: one probe per line of
@@ -66,6 +69,7 @@ RANDOM_MAX_STEPS = 2_000
 # stdlib function -> the bounds of its two numeral operands
 ARITHMETIC = {"add": (60, 60), "min": (60, 60), "max": (60, 60), "dist": (60, 60),
               "mul": (30, 5), "exp": (4, 5), "binom": (10, 4)}
+LADDER_SPINES = 10  # arithmetic spines run at every budget up to their total
 
 # Words of the token soup: keywords, punctuation, names declared in
 # ``NAMES`` and two that are not, and the printing placeholder; then, for
@@ -354,17 +358,22 @@ def kernel_probes() -> Iterator[Probe]:
             yield f"stdlib {label} check", _outcome(check, sig, EMPTY_CONTEXT, terms["body"], terms["type"])
 
 
+def _whnf_unfold(sig, t, budget):
+    from hott.reduce import whnf
+
+    return whnf(sig, t, budget, unfold=True)
+
+
 def _reductions(sig, label: str, t, max_steps: Optional[int] = None) -> Iterator[Probe]:
     from hott.reduce import normalize, whnf
 
     yield f"{label} whnf", _outcome(whnf, sig, t, max_steps=max_steps)
-    unfolding = lambda sig, t, budget: whnf(sig, t, budget, unfold=True)  # noqa: E731
-    yield f"{label} whnf-unfold", _outcome(unfolding, sig, t, max_steps=max_steps)
+    yield f"{label} whnf-unfold", _outcome(_whnf_unfold, sig, t, max_steps=max_steps)
     yield f"{label} normalize", _outcome(normalize, sig, t, max_steps=max_steps)
 
 
 def reduce_probes() -> Iterator[Probe]:
-    from hott.reduce import conv
+    from hott.reduce import ReductionBudget, conv, normalize
     from hott.terms import EMPTY_SIGNATURE, App, Const, numeral
 
     buckets: dict = {}
@@ -392,6 +401,16 @@ def reduce_probes() -> Iterator[Probe]:
         yield from _reductions(sig, f"arith {i} {name} {a} {b}", t)
         for k, other in enumerate((numeral(a + b), numeral(a), App(App(Const(name), numeral(b)), numeral(a)))):
             yield f"arith {i} conv {k}", _outcome(conv, sig, t, other)
+    rng = random.Random(13)
+    for i in range(LADDER_SPINES):
+        name = rng.choice(sorted(ARITHMETIC))
+        a, b = (rng.randrange(bound) for bound in ARITHMETIC[name])
+        t = App(App(Const(name), numeral(a)), numeral(b))
+        for op, fn in (("normalize", normalize), ("whnf-unfold", _whnf_unfold)):
+            budget = ReductionBudget()
+            fn(sig, t, budget)
+            for max_steps in range(budget.steps_used + 1):
+                yield f"ladder {i} {name} {a} {b} {op} {max_steps}", _outcome(fn, sig, t, max_steps=max_steps)
 
 
 def fail_probes() -> Iterator[Probe]:

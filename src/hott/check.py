@@ -88,6 +88,7 @@ from .terms import (
     Var,
     W,
     Zero,
+    instantiate,
     shift,
     spine,
     subst,
@@ -259,21 +260,16 @@ def infer(
         )
         infer_universe(sig, motive_ctx, t.motive, budget)
         with _premise("Eq-ind", "center: ", ctx):
-            check(sig, ctx, t.center, _inst2(t.motive, t.base, REFL), budget)
+            check(sig, ctx, t.center, instantiate(t.motive, [t.base, REFL]), budget)
         check(sig, ctx, t.endpoint, base_ty, budget)
         check(sig, ctx, t.path, Id(base_ty, t.base, t.endpoint), budget)
-        return _inst2(t.motive, t.endpoint, t.path)
+        return instantiate(t.motive, [t.endpoint, t.path])
 
     if type(t) in INTRO:
         raise CheckError("cannot-synthesize", f"{type(t).__name__} is checkable only; an expected type is required",
                          found=t, context=ctx)
 
     raise CheckError("cannot-synthesize", f"no synthesis rule for {type(t).__name__}", context=ctx)
-
-
-def _inst2(motive: Term, endpoint: Term, path: Term) -> Term:
-    """Instantiate a two-variable motive (endpoint at index 1, path at 0)."""
-    return subst(subst(motive, 0, shift(path, 0, 1)), 0, endpoint)
 
 
 # The binary type formers, each to the getter of its two components.

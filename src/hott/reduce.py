@@ -15,6 +15,7 @@ instead of a hang.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -44,9 +45,10 @@ from .terms import (
     Universe,
     Var,
     Zero,
+    instantiate,
     rebuild,
     shift,
-    subst,
+    subst,  # unused here, but perfbench/boundary.py patches ``reduce.subst``
     subterms,
 )
 
@@ -106,12 +108,22 @@ def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False)
     """
     while True:
         if isinstance(t, App):
-            fn = whnf(sig, t.fn, budget, unfold=True)
-            if isinstance(fn, Lambda):
+            # The spine in a loop; the head's leading lambdas take their
+            # arguments one tick each, in one substitution.
+            head, args = t, []
+            while isinstance(head, App):
+                args.append(head.arg)
+                head = head.fn
+            args.reverse()
+            fn = whnf(sig, head, budget, unfold=True)
+            taken = 0
+            while isinstance(fn, Lambda) and taken < len(args):
                 budget.tick()
-                t = subst(fn.body, 0, t.arg)
-                continue
-            return t if fn is t.fn else App(fn, t.arg)
+                fn, taken = fn.body, taken + 1
+            if not taken:
+                return t if fn is head else functools.reduce(App, args, fn)
+            t = functools.reduce(App, args[taken:], instantiate(fn, args[:taken]))
+            continue
 
         rule = IOTA.get(type(t))
         if rule is not None:

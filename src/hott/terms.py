@@ -2,8 +2,8 @@
 
 Every binder is positional: a subterm that "binds one variable" sees the
 bound variable as index 0, with all enclosing indices shifted up by one.
-The index-manipulation calculus (shift/subst) lives here; evaluation and
-type checking are built on top of it.
+The index-manipulation calculus (shift/subst/instantiate) lives here;
+evaluation and type checking are built on top of it.
 
 ``loose(t)`` caches on each node 1 + its highest free index (0 when
 closed), like Lean 4's ``looseBVarRange``, so shift and subst share every
@@ -359,13 +359,22 @@ def shift(t: Term, cutoff: int, amount: int) -> Term:
     return _map_vars(t, cutoff, 0, on_var)
 
 
-def subst(t: Term, j: int, s: Term) -> Term:
-    """Replace index ``j`` by ``s`` and close the gap above it."""
+def instantiate(t: Term, args: list[Term], j: int = 0) -> Term:
+    """Replace indices ``j`` .. ``j + len(args) - 1`` by ``args``, the last
+    argument binding ``j`` (a body under ``len(args)`` binders applied to them
+    at once), and close the gap above them."""
+    n = len(args)
 
     def on_var(v: Var, depth: int) -> Term:
-        return shift(s, 0, depth) if v.index == j + depth else Var(v.index - 1)
+        i = v.index - depth - j
+        return shift(args[-1 - i], 0, depth) if i < n else Var(v.index - n)
 
     return _map_vars(t, j, 0, on_var)
+
+
+def subst(t: Term, j: int, s: Term) -> Term:
+    """Replace index ``j`` by ``s`` and close the gap above it."""
+    return instantiate(t, [s], j)
 
 
 def well_scoped(t: Term, depth: int) -> bool:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import reference_reduce as ref
 from conftest import flat
+from hott import reduce
 from hott.check import check, infer
 from hott.pretty import pretty
 from hott.reduce import IOTA, BudgetExhausted, ReductionBudget, conv, normalize, whnf
@@ -158,6 +160,81 @@ def test_budget_counts_steps():
     b = bud()
     normalize(SIG, add(numeral(2), numeral(2)), b)
     assert 0 < b.steps_used < 100
+
+
+# -- application spines: a head's leading lambdas take their arguments at once --
+
+
+def _apply(fn, *args):
+    for a in args:
+        fn = App(fn, a)
+    return fn
+
+
+def _outcome(module, op, sig, t, max_steps=10_000_000):
+    """``op``'s value and steps under ``module`` (the kernel or the reference),
+    or ``("exhausted", steps)``."""
+    budget = ReductionBudget(max_steps=max_steps)
+    try:
+        if op == "normalize":
+            return module.normalize(sig, t, budget), budget.steps_used
+        return module.whnf(sig, t, budget, unfold=op == "whnf-unfold"), budget.steps_used
+    except BudgetExhausted as e:
+        return "exhausted", e.steps
+
+
+# In a context whose Var(0) is an opaque function; open arguments.
+A1, A2, A3 = Var(1), Succ(Var(2)), Lambda(NAT, Var(1))
+LAM3 = Lambda(NAT, Lambda(NAT, Lambda(NAT, _apply(Var(3), Var(2), Var(1), Var(0)))))
+SUCC_K = EMPTY_SIGNATURE.extend(Declaration("k", Pi(NAT, NAT), Lambda(NAT, Succ(Var(0)))))
+
+# (signature, spine, whnf, steps)
+SPINES = {
+    "3 lambdas, 3 arguments": (SIG, _apply(LAM3, A1, A2, A3), _apply(Var(0), A1, A2, A3), 3),
+    # two betas, k unfolds to a lambda (delta), which takes the third argument
+    "2 lambdas, 3 arguments, body unfolds": (
+        SUCC_K, _apply(Lambda(NAT, Lambda(NAT, Const("k"))), A1, A2, A3), Succ(A3), 4),
+    "3 lambdas, 2 arguments": (
+        SIG, _apply(LAM3, A1, A2),
+        Lambda(NAT, _apply(Var(1), shift(A1, 0, 1), shift(A2, 0, 1), Var(0))), 2),
+}
+
+
+@pytest.mark.parametrize("case", SPINES)
+def test_spine_contracts_like_the_reference(case):
+    sig, t, expected, steps = SPINES[case]
+    assert _outcome(reduce, "whnf", sig, t) == (expected, steps)
+    for op in ("whnf", "whnf-unfold", "normalize"):
+        assert _outcome(reduce, op, sig, t) == _outcome(ref, op, sig, t), op
+
+
+def test_stuck_spine_is_returned_as_is():
+    sig = EMPTY_SIGNATURE.extend(Declaration("p", Pi(NAT, Pi(NAT, NAT)), None))
+    for head in (Var(0), Const("p")):
+        t = _apply(head, A1, App(Lambda(NAT, Var(0)), ZERO))
+        for unfold in (False, True):
+            b = bud()
+            assert whnf(sig, t, b, unfold=unfold) is t
+            assert b.steps_used == 0
+
+
+@flat
+def test_long_spine_costs_no_depth():
+    sig = EMPTY_SIGNATURE.extend(Declaration("p", NAT, None))
+    t = _apply(Const("p"), *[ZERO] * 5_000)
+    assert whnf(sig, t, bud()) is t
+
+
+def test_budget_ladder_matches_reference(stdlib_sig):
+    # Every budget short of the total runs out at the same step as the
+    # reference's, which ticks once per beta, one application at a time.
+    t = _apply(Const("exp"), numeral(2), numeral(3))
+    value, total = _outcome(reduce, "normalize", stdlib_sig, t)
+    assert value == numeral(8)
+    for max_steps in range(total + 1):
+        got = _outcome(reduce, "normalize", stdlib_sig, t, max_steps)
+        assert got == _outcome(ref, "normalize", stdlib_sig, t, max_steps)
+        assert got == (("exhausted", max_steps + 1) if max_steps < total else (value, total))
 
 
 # Opaque fields: variables, so that every reduct below is itself stuck.

@@ -27,6 +27,7 @@ from hott.terms import (
     Var,
     numeral,
     as_int,
+    instantiate,
     loose,
     shift,
     spine,
@@ -261,6 +262,45 @@ def test_loose_shift_subst_match_reference_random(seed, fuel):
     rng = random.Random(seed)
     t = random_scoped_term(rng, rng.randrange(0, 4), fuel)
     _assert_matches_reference(t)
+
+
+# -- simultaneous substitution against one reference substitution at a time --
+
+
+def _ref_instantiate(t: Term, args: list[Term]) -> Term:
+    """``t`` under ``len(args)`` lambdas, applied to ``args`` one beta at a time."""
+    for _ in args:
+        t = Lambda(NAT, t)
+    for a in args:
+        t = _ref_subst(t.body, 0, a)
+    return t
+
+
+INSTANCE_ARGS = [ZERO, numeral(2), Lambda(NAT, Var(0)), Var(0), Succ(Var(1)), Lambda(NAT, Var(2))]
+
+
+def _assert_instantiate_matches_reference(t: Term, args: list[Term]) -> None:
+    assert instantiate(t, args) == _ref_instantiate(t, args), (t, args)
+    if loose(t) == 0:
+        assert instantiate(t, args) is t
+
+
+def test_instantiate_matches_sequential_subst_enumerated():
+    rng = random.Random(5)
+    for t in [*RAW_TERMS, *_every_former_over_vars()]:
+        for n in (1, 2, 3):
+            _assert_instantiate_matches_reference(t, INSTANCE_ARGS[:n])  # closed
+            _assert_instantiate_matches_reference(t, INSTANCE_ARGS[-n:])  # open
+            _assert_instantiate_matches_reference(t, rng.sample(INSTANCE_ARGS, n))
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=24))
+def test_instantiate_matches_sequential_subst_random(seed, fuel):
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    t = random_scoped_term(rng, n + rng.randrange(0, 3), fuel)
+    args = [random_scoped_term(rng, rng.randrange(0, 3), 5) for _ in range(n)]
+    _assert_instantiate_matches_reference(t, args)
 
 
 def test_loose_is_invisible_to_equality():
