@@ -24,7 +24,10 @@ used.  The families:
   ``parse_expression`` + ``resolve_expr``, and every stdlib record.
 - ``kernel``: ``infer`` and ``check`` with full diagnostics on the
   criterion-5 population, on ``random_scoped_term`` terms and on every
-  stdlib declaration.
+  stdlib declaration; and spines: each stdlib definition applied to its
+  first k arguments, for every k up to its arity, each argument a fresh
+  postulate of the domain its type has there, with ``infer`` and ``whnf``
+  with ``unfold`` of each.
 - ``reduce``: ``whnf`` (with and without ``unfold``), ``normalize`` and
   ``conv`` on the same populations and on stdlib arithmetic; and a budget
   ladder: ``normalize`` and ``whnf`` with ``unfold`` of ten arithmetic
@@ -356,6 +359,30 @@ def kernel_probes() -> Iterator[Probe]:
             yield f"stdlib {label} {field} infer", _outcome(infer, sig, EMPTY_CONTEXT, t)
         if _kind(record) == "def":
             yield f"stdlib {label} check", _outcome(check, sig, EMPTY_CONTEXT, terms["body"], terms["type"])
+    yield from spine_probes()
+
+
+def spine_probes() -> Iterator[Probe]:
+    """Each stdlib definition applied to its first k arguments, for every k;
+    argument i is a postulate ``arg-i`` of the domain the type has there."""
+    from hott.check import infer
+    from hott.reduce import ReductionBudget, whnf
+    from hott.terms import EMPTY_CONTEXT, App, Const, Declaration, Pi, subst
+
+    sig = _stdlib_signature()
+    for decl in sig.declarations:
+        if decl.body is None:
+            continue
+        t, ty, at, k = Const(decl.name), decl.type, sig, 0
+        while True:
+            yield f"spine {decl.name} {k} infer", _outcome(infer, at, EMPTY_CONTEXT, t)
+            yield f"spine {decl.name} {k} whnf-unfold", _outcome(_whnf_unfold, at, t)
+            ty = whnf(at, ty, ReductionBudget(), unfold=True)
+            if not isinstance(ty, Pi):
+                break
+            arg = Const(f"arg-{k}")
+            at = at.extend(Declaration(arg.name, ty.domain, None))
+            t, ty, k = App(t, arg), subst(ty.codomain, 0, arg), k + 1
 
 
 def _whnf_unfold(sig, t, budget):

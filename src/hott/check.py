@@ -225,15 +225,17 @@ def infer(
         while isinstance(t, App):
             args.append(t.arg)
             t = t.fn
-        ty = infer(sig, ctx, t, budget)
+        ty, taken = infer(sig, ctx, t, budget), []  # a run of Pis: one substitution
         for arg in reversed(args):
-            fn_ty = whnf(sig, ty, budget, unfold=True)
-            if not isinstance(fn_ty, Pi):
-                raise CheckError("not-a-function", "application head is not of function type",
-                                 found=fn_ty, context=ctx)
-            check(sig, ctx, arg, fn_ty.domain, budget)
-            ty = subst(fn_ty.codomain, 0, arg)
-        return ty
+            if not isinstance(ty, Pi):  # ``whnf`` of a Pi takes no step: reduce only a type that is none
+                ty, taken = whnf(sig, instantiate(ty, taken), budget, unfold=True), []
+                if not isinstance(ty, Pi):
+                    raise CheckError("not-a-function", "application head is not of function type",
+                                     found=ty, context=ctx)
+            check(sig, ctx, arg, instantiate(ty.domain, taken), budget)
+            ty = ty.codomain
+            taken.append(arg)
+        return instantiate(ty, taken)
 
     elim = ELIM.get(type(t))
     if elim is not None:

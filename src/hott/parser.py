@@ -113,7 +113,7 @@ FORMS: dict[str, tuple[type[Term], tuple[str, ...]]] = {
 # Keyword -> each field of its former, in surface order, with the number
 # of variables the field binds.
 FORM_FIELDS = {
-    head: tuple((f, dict(zip(cls.__match_args__, cls.BINDERS))[f]) for f in fields)
+    head: tuple((f, dict(cls.FIELDS)[f]) for f in fields)
     for head, (cls, fields) in FORMS.items()
 }
 

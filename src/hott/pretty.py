@@ -169,9 +169,12 @@ class _Printer:
             name = self.fresh()
             first = self.expr(t.first, env)
             return f"Sig ({name} : {first}), {self.expr(t.second, env + [name])}", _EXPR
-        if isinstance(t, App):
-            fn = self.show(t.fn, env, _APP)
-            return f"{fn} {self.atom(t.arg, env)}", _APP
+        if isinstance(t, App):  # the spine in a loop: the head, then each argument as an atom
+            args = []
+            while isinstance(t, App):
+                args.append(t.arg)
+                t = t.fn
+            return " ".join([self.show(t, env, _APP), *(self.atom(a, env) for a in reversed(args))]), _APP
         if isinstance(t, Coprod):
             left = self.show(t.left, env, _APP)
             right = self.show(t.right, env, _PLUS)

@@ -15,7 +15,6 @@ instead of a hang.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -72,11 +71,8 @@ class ReductionBudget:
 
 def _unfold(sig: Signature, t: Term) -> Term | None:
     """Body of a defined constant, or None when ``t`` is not unfoldable."""
-    if isinstance(t, Const):
-        decl = sig.lookup(t.name)
-        if decl is not None and decl.body is not None:
-            return decl.body
-    return None
+    decl = sig.lookup(t.name) if isinstance(t, Const) else None
+    return decl and decl.body
 
 
 # Eliminator -> (scrutinee field, constructor -> contraction); a
@@ -99,32 +95,27 @@ IOTA: dict[type, tuple[str, dict[type, Callable[[Term, Term], Term]]]] = {
 
 
 def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False) -> Term:
-    """Weak head normal form.
+    """Weak head normal form, ``t`` itself when no step is taken.
 
-    A defined constant in head position unfolds only when it blocks a
-    redex (function position, eliminator scrutinee); a bare defined
-    constant at the top is left alone unless ``unfold`` is set, so that
-    conversion can compare equal-named constants without unfolding.
+    One loop over the head, with the spine's arguments on a stack (the next
+    one last): a lambda head takes them one tick each, in one substitution,
+    and a head with arguments unfolds if it is a defined constant.  A bare
+    defined constant at the top is left alone unless ``unfold`` is set, so
+    that conversion can compare equal-named constants without unfolding.
     """
+    start, steps, args = t, budget.steps_used, []
     while True:
-        if isinstance(t, App):
-            # The spine in a loop; the head's leading lambdas take their
-            # arguments one tick each, in one substitution.
-            head, args = t, []
-            while isinstance(head, App):
-                args.append(head.arg)
-                head = head.fn
-            args.reverse()
-            fn = whnf(sig, head, budget, unfold=True)
-            taken = 0
-            while isinstance(fn, Lambda) and taken < len(args):
+        while isinstance(t, App):
+            args.append(t.arg)
+            t = t.fn
+        if isinstance(t, Lambda) and args:
+            taken = []
+            while isinstance(t, Lambda) and args:
                 budget.tick()
-                fn, taken = fn.body, taken + 1
-            if not taken:
-                return t if fn is head else functools.reduce(App, args, fn)
-            t = functools.reduce(App, args[taken:], instantiate(fn, args[:taken]))
+                taken.append(args.pop())
+                t = t.body
+            t = instantiate(t, taken)
             continue
-
         rule = IOTA.get(type(t))
         if rule is not None:
             field, contractions = rule
@@ -135,7 +126,8 @@ def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False)
                 budget.tick()
                 t = contract(t, s)
                 continue
-            return t if s is old else replace(t, **{field: s})
+            t = t if s is old else replace(t, **{field: s})
+            break
 
         # Not in IOTA: the recursive branch is a function over the arity
         # of the tree, whose domain annotation comes from the components
@@ -147,37 +139,42 @@ def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False)
                 comps = whnf(sig, s.components, budget, unfold=True)
                 if isinstance(comps, Lambda):
                     budget.tick()
-                    rec = Lambda(
-                        comps.domain,
-                        IndW(
-                            shift(t.motive, 1, 1),
-                            shift(t.step, 0, 1),
-                            App(shift(comps, 0, 1), Var(0)),
-                        ),
-                    )
+                    rec = Lambda(comps.domain, IndW(shift(t.motive, 1, 1), shift(t.step, 0, 1),
+                                                    App(shift(comps, 0, 1), Var(0))))
                     t = App(App(App(t.step, s.shape), comps), rec)
                     continue
                 s = Tree(s.shape, comps)
-            return t if s is t.scrutinee else IndW(t.motive, t.step, s)
+            t = IndW(t.motive, t.step, s)
+            break
 
-        if unfold:
-            body = _unfold(sig, t)
-            if body is not None:
-                budget.tick()
-                t = body
-                continue
-        return t
+        body = _unfold(sig, t) if unfold or args else None
+        if body is None:
+            break
+        budget.tick()
+        t = body
+
+    if budget.steps_used == steps:
+        return start
+    while args:
+        t = App(t, args.pop())
+    return t
 
 
 def normalize(sig: Signature, t: Term, budget: ReductionBudget) -> Term:
-    """Full beta/iota/delta-normal form (recurses under binders, loops on ``Succ``)."""
-    chain = []
+    """Full beta/iota/delta-normal form: recurses under binders, loops on ``Succ``
+    and on an application's spine (the head first, then the arguments in order)."""
+    chain, apps = [], []
     t = whnf(sig, t, budget, unfold=True)
     while isinstance(t, Succ):
         chain.append(t)
         t = whnf(sig, t.pred, budget, unfold=True)
+    while isinstance(t, App):  # a neutral spine: its head is stuck
+        apps.append(t)
+        t = t.fn
     if type(t).BINDERS:
         t = rebuild(t, [normalize(sig, sub, budget) for sub, _ in subterms(t)])
+    for app in reversed(apps):
+        t = rebuild(app, [t, normalize(sig, app.arg, budget)])
     for succ in reversed(chain):
         t = rebuild(succ, [t])
     return t

@@ -6,11 +6,11 @@ The index-manipulation calculus (shift/subst/instantiate) lives here;
 evaluation and type checking are built on top of it.
 
 ``loose(t)`` caches on each node 1 + its highest free index (0 when
-closed), like Lean 4's ``looseBVarRange``, so shift and subst share every
-subterm none of whose indices can move instead of copying it.  The cache
-is an instance attribute outside the dataclass fields, so ``==``, ``hash``
-and ``repr`` ignore it; it is set with ``object.__setattr__`` rather than
-through ``t.__dict__``, which would give every node its own dict object.
+closed), like Lean 4's ``looseBVarRange``: shift and subst share each
+subterm whose indices cannot move, and a node they build reads its bound
+off its children's caches.  It is an instance attribute outside the
+dataclass fields, so ``==``, ``hash`` and ``repr`` ignore it, set with
+``object.__setattr__``, as ``t.__dict__`` would build a dict per node.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ class Term:
     """
 
     BINDERS: ClassVar[tuple[int, ...]] = ()
+    FIELDS: ClassVar[tuple[tuple[str, int], ...]] = ()  # each field with its ``BINDERS`` entry
     _loose: ClassVar[Optional[int]] = None  # until ``loose`` caches it on the instance
 
 
@@ -267,6 +268,9 @@ class IndTrunc(Term):
     BINDERS = (1, 0, 0, 0)
 
 
+for _former in Term.__subclasses__():
+    _former.FIELDS = tuple(zip(_former.__match_args__, _former.BINDERS))
+
 NAT = Nat()
 ZERO = Zero()
 UNIT = Unit()
@@ -277,8 +281,7 @@ REFL = Refl()
 
 def subterms(t: Term) -> Iterator[tuple[Term, int]]:
     """Yield each direct subterm together with the binders entering it."""
-    cls = type(t)
-    for name, k in zip(cls.__match_args__, cls.BINDERS):
+    for name, k in t.FIELDS:
         yield getattr(t, name), k
 
 
@@ -309,7 +312,7 @@ def loose(t: Term) -> int:
         chain = []
         while t._loose is None and t.BINDERS:
             chain.append(t)
-            t = getattr(t, type(t).__match_args__[-1])
+            t = getattr(t, t.FIELDS[-1][0])
         n = t._loose
         if n is None:
             n = t.index + 1 if isinstance(t, Var) else 0
@@ -324,8 +327,10 @@ def loose(t: Term) -> int:
 
 
 def _map_vars(t: Term, cutoff: int, depth: int, on_var) -> Term:
-    """``on_var`` applied to each index >= ``cutoff`` outside ``t``; the rest shared."""
-    if loose(t) <= cutoff + depth:
+    """``on_var`` applied to each index >= ``cutoff`` outside ``t``; the rest
+    shared.  A node built caches its bound when each child has one cached."""
+    n = t._loose
+    if (loose(t) if n is None else n) <= cutoff + depth:
         return t
     if isinstance(t, Var):
         return on_var(t, depth)
@@ -335,10 +340,19 @@ def _map_vars(t: Term, cutoff: int, depth: int, on_var) -> Term:
         for _ in range(n):
             t = Succ(t)
         return t
-    children = []
-    for sub, k in subterms(t):
-        children.append(_map_vars(sub, cutoff, depth + k, on_var))
-    return type(t)(*children)
+    children, n = [], 0
+    for name, k in t.FIELDS:
+        sub = _map_vars(getattr(t, name), cutoff, depth + k, on_var)
+        children.append(sub)
+        bound = sub._loose
+        if bound is None:
+            n = None
+        elif n is not None and bound - k > n:
+            n = bound - k
+    t = type(t)(*children)
+    if n is not None:
+        object.__setattr__(t, "_loose", n)
+    return t
 
 
 def shift(t: Term, cutoff: int, amount: int) -> Term:
@@ -364,6 +378,8 @@ def instantiate(t: Term, args: list[Term], j: int = 0) -> Term:
     argument binding ``j`` (a body under ``len(args)`` binders applied to them
     at once), and close the gap above them."""
     n = len(args)
+    if not n:
+        return t
 
     def on_var(v: Var, depth: int) -> Term:
         i = v.index - depth - j

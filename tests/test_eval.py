@@ -8,6 +8,8 @@ import reference_reduce as ref
 from conftest import flat
 from hott import reduce
 from hott.check import check, infer
+from hott.loader import ProcessOptions, process_module
+from hott.parser import parse
 from hott.pretty import pretty
 from hott.reduce import IOTA, BudgetExhausted, ReductionBudget, conv, normalize, whnf
 from hott.terms import (
@@ -223,6 +225,16 @@ def test_long_spine_costs_no_depth():
     sig = EMPTY_SIGNATURE.extend(Declaration("p", NAT, None))
     t = _apply(Const("p"), *[ZERO] * 5_000)
     assert whnf(sig, t, bud()) is t
+
+
+@flat
+def test_long_spine_evaluates_and_prints(stdlib_sig):
+    # checking, normalizing and printing each walk the spine in a loop
+    n = 5_000
+    text = "postulate f : " + "Nat -> " * n + "Nat\n#eval f" + " (add zero 1)" * n + "\n"
+    out: list[str] = []
+    process_module(stdlib_sig, parse(text, "spine.hott"), ProcessOptions(out=out.append))
+    assert out == ["f" + " 1" * n]
 
 
 def test_budget_ladder_matches_reference(stdlib_sig):

@@ -9,13 +9,18 @@ import pytest
 
 from conftest import ROOT, STDLIB, STDLIB_ORDER, load_stdlib, stdlib_paths
 
-from hott.check import check, infer, infer_universe
-from hott.parser import parse_expression, resolve_expr
-from hott.reduce import ReductionBudget, conv, normalize
+from hott.check import CheckError, check, check_declaration, infer, infer_universe
+from hott.loader import process_module
+from hott.parser import parse, parse_expression, resolve_expr
+from hott.reduce import ReductionBudget, conv, normalize, whnf
 from hott.terms import (
     EMPTY_CONTEXT,
+    App,
     Const,
+    Pi,
+    Signature,
     as_int,
+    subst,
 )
 
 TIER1 = {"prelude.hott", "nat.hott", "int.hott", "identity.hott"}
@@ -249,3 +254,75 @@ def test_reduction_steps_are_pinned(stdlib_sig, src, steps):
     infer(stdlib_sig, EMPTY_CONTEXT, term, budget)
     normalize(stdlib_sig, term, budget)
     assert budget.steps_used == steps
+
+
+# Checking a declaration takes steps too, in ``whnf`` of the types that the
+# rules compare: any change in that work fails here.
+CHECK_STEPS = {
+    "succ-Z": 19, "associative-add": 48, "ap-concat": 46, "skip-zero": 61, "fin-succ": 54,
+    "eq-pair": 190, "pair-eq-sec": 613, "has-inverse-to-is-equiv": 83, "pair-eq-is-equiv": 85,
+}
+
+
+@pytest.mark.parametrize("name, steps", sorted(CHECK_STEPS.items()))
+def test_check_steps_are_pinned(stdlib_sig, name, steps):
+    decls = stdlib_sig.declarations
+    i = next(i for i, decl in enumerate(decls) if decl.name == name)
+    budget = ReductionBudget()
+    check_declaration(Signature(decls[:i]), decls[i], budget)
+    assert budget.steps_used == steps
+
+
+def _one_argument_at_a_time(sig, ctx, t, budget):
+    """The application rule as the theory states it, ``f a : B[a/x]``: the
+    head's type in whnf for each argument, and one substitution each."""
+    args = []
+    while isinstance(t, App):
+        args.append(t.arg)
+        t = t.fn
+    ty = infer(sig, ctx, t, budget)
+    for arg in reversed(args):
+        fn_ty = whnf(sig, ty, budget, unfold=True)
+        if not isinstance(fn_ty, Pi):
+            raise CheckError("not-a-function", "application head is not of function type", found=fn_ty, context=ctx)
+        check(sig, ctx, arg, fn_ty.domain, budget)
+        ty = subst(fn_ty.codomain, 0, arg)
+    return ty
+
+
+def _typing(rule, sig, t):
+    budget = ReductionBudget()
+    try:
+        return "ok", rule(sig, EMPTY_CONTEXT, t, budget), budget.steps_used
+    except CheckError as e:
+        return e.rule, e.message, e.found, e.expected, budget.steps_used
+
+
+FAMILIES = """
+postulate e : Empty
+postulate h : (A : Type 0) -> neg A
+def B : Nat -> Type 0 := \\(n : Nat). Nat -> Nat
+postulate q : Sig (x : Nat), B x
+"""
+
+# Spines whose type is a Pi only after ``whnf`` midway: a variable
+# instantiated to a function type, a defined family applied to its index,
+# and a motive applied to its scrutinee; then two that fail there.
+MIDWAY = {
+    "id (Nat -> Nat) (\\(n : Nat). succ n) zero": 0,
+    "ex-falso (Nat -> Nat) e zero": 0,
+    "h Nat zero": 2,
+    "pr2 Nat B q zero": 2,
+    "ind-bool (\\(b : bool). Nat -> Nat) (\\(n : Nat). n) (\\(n : Nat). succ n) true zero": 4,
+    "id Nat zero zero": 0,
+    "h Nat star": 2,
+}
+
+
+@pytest.mark.parametrize("src", sorted(MIDWAY))
+def test_application_rule_matches_one_argument_at_a_time(stdlib_sig, src):
+    sig = process_module(stdlib_sig, parse(FAMILIES, "families.hott"))
+    t = resolve_expr(parse_expression(src), [], sig)
+    got = _typing(infer, sig, t)
+    assert got == _typing(_one_argument_at_a_time, sig, t)
+    assert got[-1] == MIDWAY[src]

@@ -303,6 +303,47 @@ def test_instantiate_matches_sequential_subst_random(seed, fuel):
     _assert_instantiate_matches_reference(t, args)
 
 
+# -- the bound cached on a node that shift and instantiate build --------------
+#
+# A node built with too small a bound would make a later substitution skip
+# one of its variables; so every cached bound must equal the reference's.
+
+
+def _assert_cached_bounds_sound(t: Term) -> None:
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        assert u._loose is None or u._loose == _naive_loose(u), u
+        todo.extend(sub for sub, _ in _children(u))
+
+
+def _assert_built_bounds_sound(t: Term, args: list[Term]) -> None:
+    assert instantiate(t, []) is t
+    for c in range(3):
+        _assert_cached_bounds_sound(shift(t, c, 2))
+    for n in range(1, len(args) + 1):
+        for j in range(2):
+            _assert_cached_bounds_sound(instantiate(t, args[:n], j))
+    _assert_cached_bounds_sound(t)
+
+
+def test_built_bounds_are_sound_enumerated():
+    for t in _every_former_over_vars():
+        for args in (INSTANCE_ARGS[:3], INSTANCE_ARGS[-3:]):
+            _assert_built_bounds_sound(t, args)
+            _assert_built_bounds_sound(_fresh(t), [_fresh(a) for a in args])
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=24))
+def test_built_bounds_are_sound_random(seed, fuel):
+    rng = random.Random(seed)
+    t = random_scoped_term(rng, rng.randrange(0, 5), fuel)
+    args = [random_scoped_term(rng, rng.randrange(0, 3), 6) for _ in range(3)]
+    if rng.random() < 0.5:  # some bounds cached beforehand, on the term and on its parts
+        loose(rng.choice([t, *args]))
+    _assert_built_bounds_sound(t, args)
+
+
 def test_loose_is_invisible_to_equality():
     t = Lambda(NAT, App(Var(1), Var(0)))
     assert loose(t) == 1
