@@ -118,8 +118,12 @@ def _show(x) -> str:
 
 
 def _repr(x) -> str:
-    if type(x).__name__ == "Context":  # a tuple in one tree, cons cells in another
-        return _repr(x.entries)
+    if type(x).__name__ == "Context":  # cons cells: the entries, oldest first
+        newest_first = []
+        for _ in range(len(x)):
+            newest_first.append(x.last)
+            x = x.prefix
+        return _repr(newest_first[::-1])
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         n = 0
         while type(x).__name__ == "Succ":

@@ -10,7 +10,7 @@ the `message`, the term `found`, the type `expected`, the `context` and,
 once the loader has located it, the `span`.
 """
 
-from .check import CheckError, check, check_context, check_declaration, infer, infer_universe
+from .check import CheckError, check, check_declaration, infer, infer_universe
 from .reduce import BudgetExhausted, ReductionBudget, conv, normalize, whnf
 from .terms import (
     Context,
@@ -27,7 +27,6 @@ from .terms import (
 __all__ = [
     "CheckError",
     "check",
-    "check_context",
     "check_declaration",
     "infer",
     "infer_universe",

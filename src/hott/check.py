@@ -34,7 +34,7 @@ Rule names form a closed vocabulary:
     lambda-domain-mismatch refl-endpoints-not-convertible
     Sigma-intro Coprod-intro W-intro Trunc-intro
     Nat-ind Sigma-ind Coprod-ind Eq-ind W-ind Trunc-ind
-    context-entry max-depth (raised by ``loader``: nesting too deep)
+    max-depth (raised by ``loader``: nesting too deep)
 """
 
 from __future__ import annotations
@@ -109,16 +109,13 @@ class CheckError(LocatedError):
 def _premise(rule: str, prefix: Optional[str], ctx: Context) -> Iterator[None]:
     """Re-raise a failed premise of ``rule`` as that rule's error, keeping
     the inner message (after ``prefix``) and the terms it found and
-    expected; with no ``prefix``, the failure passes unchanged.  A context
-    entry has no expected type, so ``context-entry`` reports the found
-    term alone."""
+    expected; with no ``prefix``, the failure passes unchanged."""
     try:
         yield
     except CheckError as e:
         if prefix is None:
             raise
-        expected = None if rule == "context-entry" else e.expected
-        raise CheckError(rule, prefix + e.message, found=e.found, expected=expected, context=ctx)
+        raise CheckError(rule, prefix + e.message, found=e.found, expected=e.expected, context=ctx)
 
 
 def _at(motive: Term, k: int, ctor: Term) -> Term:
@@ -367,15 +364,3 @@ def check_declaration(
     if decl.body is not None:
         check(sig, EMPTY_CONTEXT, decl.body, decl.type, budget)
     return sig.extend(decl)
-
-
-def check_context(
-    sig: Signature, ctx: Context, budget: Optional[ReductionBudget] = None
-) -> None:
-    """Each entry must be a well-formed type over its prefix."""
-    budget = budget or ReductionBudget()
-    prefix = EMPTY_CONTEXT
-    for i, entry in enumerate(ctx.entries):
-        with _premise("context-entry", f"entry {i}: ", prefix):
-            infer_universe(sig, prefix, entry, budget)
-        prefix = prefix.extend(entry)

@@ -32,7 +32,6 @@ from .terms import (
     Var,
     W,
     Zero,
-    shift,
     spine,
     subterms,
 )
@@ -70,7 +69,8 @@ _DOMAINS = {
 
 def _unbinder(binder: Term, k: int) -> Term | None:
     """Invert ``Parser.parse_binding``: ``f`` when ``binder`` is
-    ``f^k (k-1) ... 0`` with ``f^k`` not using those variables."""
+    ``f (k-1) ... 0`` with ``f`` not using those variables.  ``f`` still
+    counts them: it prints under ``k`` placeholders."""
     t = binder
     for i in range(k):
         if not (isinstance(t, App) and t.arg == Var(i)):
@@ -78,15 +78,21 @@ def _unbinder(binder: Term, k: int) -> Term | None:
         t = t.fn
     if any(_uses(t, i) for i in range(k)):
         return None
-    return shift(t, k, -k)
+    return t
 
 
 def _uses(t: Term, index: int = 0) -> bool:
     """True iff the free variable ``index`` occurs in ``t``."""
-    t = spine(t)[1]
-    if isinstance(t, Var):
-        return t.index == index
-    return any(_uses(sub, index + k) for sub, k in subterms(t))
+    todo = [(t, index)]
+    while todo:
+        u, i = todo.pop()
+        u = spine(u)[1]
+        if isinstance(u, Var):
+            if u.index == i:
+                return True
+        else:
+            todo.extend((sub, i + k) for sub, k in subterms(u))
+    return False
 
 
 class _Printer:
@@ -106,7 +112,7 @@ class _Printer:
         """Print a field binding ``k`` variables as a function expression atom."""
         fn = _unbinder(binder, k)
         if fn is not None:
-            return self.atom(fn, env)
+            return self.atom(fn, env + [None] * k)
         names = [self.fresh() for _ in range(k)]
         doms = ["_" if domain is None else domain] + ["_"] * (k - 1)
         lams = " ".join(f"\\({n} : {d})." for n, d in zip(names, doms))
@@ -128,7 +134,7 @@ class _Printer:
         if isinstance(t, Var):
             if t.index < len(env):
                 return env[-1 - t.index], _ATOM
-            return f"!{t.index}", _ATOM
+            return f"!{t.index - env.count(None)}", _ATOM
         if isinstance(t, Const):
             return t.name, _ATOM
         if isinstance(t, Succ):  # numerals are long chains: keep this before the tables
@@ -163,7 +169,7 @@ class _Printer:
                 dom = self.expr(t.domain, env)
                 return f"({name} : {dom}) -> {self.expr(t.codomain, env + [name])}", _EXPR
             dom = self.show(t.domain, env, _PLUS)
-            cod = self.expr(shift(t.codomain, 1, -1), env)
+            cod = self.expr(t.codomain, env + [None])
             return f"{dom} -> {cod}", _EXPR
         if isinstance(t, Sigma):
             name = self.fresh()

@@ -415,16 +415,16 @@ def as_int(t: Term) -> Optional[int]:
 
 
 class Context:
-    """Telescope of types; entry i is well-scoped over entries 0..i-1.  A cons
+    """Telescope of types, each well-scoped over the ones before it.  A cons
     cell: ``last`` is the newest entry and ``prefix`` the context it extends,
     shared, so ``extend`` is O(1) and ``lookup`` walks ``index`` cells."""
 
     __slots__ = ("prefix", "last", "_length")
 
-    def __new__(cls, entries: Iterable[Term] = ()) -> "Context":
+    def __new__(cls, types: Iterable[Term] = ()) -> "Context":
         ctx = object.__new__(cls)
         ctx.prefix, ctx.last, ctx._length = None, None, 0
-        for ty in entries:
+        for ty in types:
             ctx = ctx.extend(ty)
         return ctx
 
@@ -432,14 +432,6 @@ class Context:
         ctx = object.__new__(Context)
         ctx.prefix, ctx.last, ctx._length = self, ty, self._length + 1
         return ctx
-
-    @property
-    def entries(self) -> tuple[Term, ...]:
-        newest_first, ctx = [], self
-        while ctx._length:
-            newest_first.append(ctx.last)
-            ctx = ctx.prefix
-        return tuple(reversed(newest_first))
 
     def lookup(self, index: int) -> Term:
         """Type of ``Var(index)``, shifted into the full context."""
@@ -469,7 +461,7 @@ class Signature:
 
     Signatures on one line of extensions share an append-only store (a
     declaration list and a name -> (position, declaration) index); each sees
-    only its first ``_size`` entries.  Only the newest of a line appends in
+    only its first ``_size`` declarations.  Only the newest of a line appends in
     place; extending an older or an empty one (``EMPTY_SIGNATURE`` is shared
     by every caller) copies its prefix into a new store first.
     """

@@ -237,6 +237,19 @@ def test_long_spine_evaluates_and_prints(stdlib_sig):
     assert out == ["f" + " 1" * n]
 
 
+@flat
+def test_arrow_into_long_spine_checks_and_prints():
+    # the printer tests a non-dependent Pi's codomain for its variable and
+    # prints it in place, both in a loop along the spine
+    n = 3_000
+    spine = "Nat -> F" + " zero" * n
+    text = ("postulate F : " + "Nat -> " * n + "Type 0\n"
+            f"#eval {spine}\n#check {spine} : Type 0\n")
+    out: list[str] = []
+    process_module(EMPTY_SIGNATURE, parse(text, "arrow.hott"), ProcessOptions(out=out.append))
+    assert out == ["Nat -> F" + " 0" * n]
+
+
 def test_budget_ladder_matches_reference(stdlib_sig):
     # Every budget short of the total runs out at the same step as the
     # reference's, which ticks once per beta, one application at a time.
@@ -337,3 +350,9 @@ def test_deep_numeral_prints():
     assert text == "succ (" * (BIG - 1) + "succ zero" + ")" * (BIG - 1)
     assert pretty(Succ(Succ(Var(0))), ["x"]) == "succ (succ x)"
     assert pretty(Succ(Succ(Var(0))), ["x"], sugar_numerals=False) == "succ (succ x)"
+    # a free variable prints as its index, not counting the binders of a
+    # non-dependent Pi or of a binding field that prints as its function
+    assert pretty(Pi(NAT, Var(3))) == "Nat -> !2"
+    assert pretty(IndNat(App(Var(4), Var(0)), ZERO, Var(2), Var(7))) == "ind-nat !3 0 !2 !7"
+    assert pretty(W(NAT, App(Pi(NAT, Var(3)), Var(0))), ["a", "b"]) == "W Nat (Nat -> a)"
+    assert pretty(Lambda(NAT, Pi(NAT, Pi(Var(0), Var(5)))), ["a"]) == "\\(x0 : Nat). (x1 : Nat) -> x1 -> !4"

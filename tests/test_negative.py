@@ -39,6 +39,8 @@ EXPECTED_RULES = {
     ("rejections.hott", 98): "Sigma-ind",
     ("rejections.hott", 101): "Coprod-intro",
     ("rejections.hott", 104): "Trunc-intro",
+    ("rejections.hott", 107): "not-a-type",
+    ("rejections.hott", 110): "type-mismatch",
 }
 
 # A failed premise of an eliminator or of tree is reported under the

@@ -93,7 +93,8 @@ def test_context_extend_shares_the_context_it_extends():
     ctx = Context((NAT,))
     grown = ctx.extend(App(Var(0), ZERO))
     assert grown.prefix is ctx
-    assert grown.entries == (NAT, App(Var(0), ZERO)) and ctx.entries == (NAT,)
+    assert len(grown) == 2 and grown.last == App(Var(0), ZERO) and grown.prefix.last == NAT
+    assert len(ctx) == 1 and ctx.last == NAT and len(ctx.prefix) == 0
     wide = Context()
     for i in range(100_000):
         wide = wide.extend(Const(f"c{i}"))

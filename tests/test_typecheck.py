@@ -10,7 +10,6 @@ from hott.check import (
     INTRO,
     CheckError,
     check,
-    check_context,
     check_declaration,
     infer,
     infer_universe,
@@ -162,14 +161,6 @@ def test_check_declaration_and_duplicates():
 def test_check_declaration_postulate():
     sig = check_declaration(SIG, Declaration("oracle", Pi(NAT, NAT), None))
     assert infer(sig, CTX, App(Const("oracle"), ZERO)) == NAT
-
-
-def test_check_context():
-    check_context(SIG, Context())
-    check_context(SIG, Context((NAT, Id(NAT, Var(0), Var(0)))))
-    with pytest.raises(CheckError) as e:
-        check_context(SIG, Context((Var(0),)))
-    assert rule_of(e) == "context-entry"
 
 
 def test_unbound_names():
