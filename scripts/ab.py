@@ -6,12 +6,15 @@ side by side in one interpreter.
 
 exports ``src/`` at ``REV`` as ``differential.py`` does and loads both
 ``hott`` packages at once, as ``hott_old`` and ``hott_new``.  Each round
-runs two workloads on each tree, the trees in alternating order:
+runs three workloads on each tree, the trees in alternating order:
 
 - ``stdlib``: ``hott check`` on the ten stdlib files through ``cli.main``.
 - ``eval``: ``perfbench/corpus.py``'s seed-7 expressions, each run as
   ``hott eval --print-normal-forms`` runs it, as an ``#eval`` item through
   ``process_module``, over the declarations of ``prelude`` and ``nat``.
+- ``bulk``: ``hott check --trace`` through ``cli.main`` on
+  ``perfbench/corpus.py``'s seed-7 library of 5,000 small items, written
+  into a temporary directory; its trace goes nowhere.
 
 Items are timed at ``loader.execute``, as ``perfbench/drive.py``'s
 ``ItemTimer`` times them.  It exits 1 unless both trees print the same
@@ -40,9 +43,9 @@ from pathlib import Path
 from differential import ROOT, STDLIB, STDLIB_ORDER, export
 
 sys.path.insert(0, str(ROOT / "perfbench"))
-from corpus import eval_expressions  # noqa: E402  (it imports no hott)
+from corpus import bulk_library, eval_expressions  # noqa: E402  (it imports no hott)
 
-EVAL_SEED = 7
+EVAL_SEED = BULK_SEED = 7
 NAT_FILES = ("prelude.hott", "nat.hott")
 
 
@@ -71,7 +74,8 @@ class Tree:
             decls = tuple(i for i in module.items if isinstance(i, (parser.DefItem, parser.PostulateItem)))
             sig = loader.process_module(sig, parser.SurfaceModule(decls, name), opts)
         self.nat_sig = sig
-        self.times = {"stdlib": ([], []), "eval": ([], [])}  # workload -> (verdicts, item times per round)
+        # workload -> (verdicts, item times per round)
+        self.times = {workload: ([], []) for workload in ("stdlib", "eval", "bulk")}
         self.outputs: dict[str, list] = {}
 
     @contextlib.contextmanager
@@ -116,6 +120,12 @@ class Tree:
             code = self.hott.cli.main(["check", *(str(STDLIB / name) for name in STDLIB_ORDER)])
         self.outputs.setdefault("stdlib stdout", [code, out.getvalue()])
 
+    def run_bulk(self, paths: list[str]) -> None:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), self.timed("bulk"):
+            code = self.hott.cli.main(["check", "--trace", *paths])
+        self.outputs.setdefault("bulk stdout", [code, out.getvalue()])
+
     def run_eval(self, texts: list[str]) -> None:
         loader, parser = self.hott.loader, self.hott.parser
         lines: list[str] = []
@@ -150,10 +160,15 @@ def main(argv: list[str]) -> int:
             print(f"cannot export {args.rev}: {e.stderr.decode().strip()}", file=sys.stderr)
             return 2
         trees = {"old": Tree(load("hott_old", old_src)), "new": Tree(load("hott_new", ROOT / "src"))}
-    for r in range(args.rounds):
-        for tree in (trees.values() if r % 2 == 0 else reversed(trees.values())):
-            tree.run_stdlib()
-            tree.run_eval(texts)
+        paths = []
+        for name, text in bulk_library(BULK_SEED).texts():
+            paths.append(str(Path(tmp) / name))
+            Path(paths[-1]).write_text(text, encoding="utf-8")
+        for r in range(args.rounds):
+            for tree in (trees.values() if r % 2 == 0 else reversed(trees.values())):
+                tree.run_stdlib()
+                tree.run_eval(texts)
+                tree.run_bulk(paths)
     old, new = trees["old"], trees["new"]
     for key in old.outputs:
         if old.outputs[key] != new.outputs[key]:

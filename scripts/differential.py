@@ -348,12 +348,12 @@ def _random_terms() -> Iterator[tuple[int, object]]:
 
 def kernel_probes() -> Iterator[Probe]:
     from hott.check import check, infer
-    from hott.terms import EMPTY_CONTEXT, EMPTY_SIGNATURE, Context, NAT
+    from hott.terms import EMPTY_CONTEXT, EMPTY_SIGNATURE, NAT
 
     for i, (t, ty) in enumerate(_population()):
         yield f"population {i} infer", _outcome(infer, EMPTY_SIGNATURE, EMPTY_CONTEXT, t)
         yield f"population {i} check", _outcome(check, EMPTY_SIGNATURE, EMPTY_CONTEXT, t, ty)
-    ctx = Context((NAT, NAT))
+    ctx = EMPTY_CONTEXT.extend(NAT).extend(NAT)
     for seed, t in _random_terms():
         yield f"random {seed} infer", _outcome(infer, EMPTY_SIGNATURE, ctx, t, max_steps=RANDOM_MAX_STEPS)
         yield f"random {seed} check", _outcome(check, EMPTY_SIGNATURE, ctx, t, NAT, max_steps=RANDOM_MAX_STEPS)

@@ -6,7 +6,8 @@ of ``INTRO`` (Pair, Inl, Inr, Refl, Tree, TruncIn) are checkable only.
 ``check`` switches modes through conversion.
 
 The typing rules of the inductive formers are two tables, as their
-computation rules are one (``reduce.IOTA``):
+computation rules are one (``reduce.IOTA``, each rule giving a reduct's
+head and arguments):
 
 - ``ELIM`` maps each eliminator but ``IndEq`` to ``(rule, scrutinee,
   methods)``.  ``scrutinee`` is the scrutinee's type when that is fixed

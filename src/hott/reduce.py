@@ -75,22 +75,22 @@ def _unfold(sig: Signature, t: Term) -> Term | None:
     return decl and decl.body
 
 
-# Eliminator -> (scrutinee field, constructor -> contraction); a
-# contraction maps the eliminator and its scrutinee in whnf to the reduct.
-# ``IndEmpty`` has no constructor, hence no rule.
-IOTA: dict[type, tuple[str, dict[type, Callable[[Term, Term], Term]]]] = {
+# Eliminator -> (scrutinee field, constructor -> contraction).  A contraction
+# maps the eliminator and its scrutinee in whnf to the reduct's head and then
+# its arguments, for ``whnf``'s stack.  ``IndEmpty`` has no constructor: no rule.
+IOTA: dict[type, tuple[str, dict[type, Callable[[Term, Term], tuple[Term, ...]]]]] = {
     IndNat: ("scrutinee", {
-        Zero: lambda t, s: t.base,
-        Succ: lambda t, s: App(App(t.step, s.pred), IndNat(t.motive, t.base, t.step, s.pred)),
+        Zero: lambda t, s: (t.base,),
+        Succ: lambda t, s: (t.step, s.pred, IndNat(t.motive, t.base, t.step, s.pred)),
     }),
-    IndSigma: ("scrutinee", {Pair: lambda t, s: App(App(t.step, s.fst), s.snd)}),
-    IndUnit: ("scrutinee", {Star: lambda t, s: t.point}),
+    IndSigma: ("scrutinee", {Pair: lambda t, s: (t.step, s.fst, s.snd)}),
+    IndUnit: ("scrutinee", {Star: lambda t, s: (t.point,)}),
     IndCoprod: ("scrutinee", {
-        Inl: lambda t, s: App(t.on_left, s.value),
-        Inr: lambda t, s: App(t.on_right, s.value),
+        Inl: lambda t, s: (t.on_left, s.value),
+        Inr: lambda t, s: (t.on_right, s.value),
     }),
-    IndEq: ("path", {Refl: lambda t, s: t.center}),
-    IndTrunc: ("scrutinee", {TruncIn: lambda t, s: App(t.point, s.value)}),
+    IndEq: ("path", {Refl: lambda t, s: (t.center,)}),
+    IndTrunc: ("scrutinee", {TruncIn: lambda t, s: (t.point, s.value)}),
 }
 
 
@@ -124,7 +124,8 @@ def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False)
             contract = contractions.get(type(s))
             if contract is not None:
                 budget.tick()
-                t = contract(t, s)
+                t, *pushed = contract(t, s)
+                args.extend(reversed(pushed))
                 continue
             t = t if s is old else replace(t, **{field: s})
             break

@@ -5,12 +5,11 @@ bound variable as index 0, with all enclosing indices shifted up by one.
 The index-manipulation calculus (shift/subst/instantiate) lives here;
 evaluation and type checking are built on top of it.
 
-``loose(t)`` caches on each node 1 + its highest free index (0 when
-closed), like Lean 4's ``looseBVarRange``: shift and subst share each
-subterm whose indices cannot move, and a node they build reads its bound
-off its children's caches.  It is an instance attribute outside the
-dataclass fields, so ``==``, ``hash`` and ``repr`` ignore it, set with
-``object.__setattr__``, as ``t.__dict__`` would build a dict per node.
+Nodes are slotted frozen dataclasses.  Each carries ``_loose``, 1 + its
+highest free index (0 when closed), set when the node is built from its
+children's, like Lean 4's ``looseBVarRange``: shift and subst share each
+subterm whose indices cannot move.  It is a slot outside the dataclass
+fields, so ``==``, ``hash`` and ``repr`` ignore it.
 """
 
 from __future__ import annotations
@@ -41,71 +40,70 @@ class LocatedError(Exception):
         return f"{self.span[0]}:{self.span[1]}: {self.args[0]}" if self.span else self.args[0]
 
 
-@dataclass(frozen=True)
 class Term:
-    """Base class; one subclass per term former.
+    """Base class; one slotted frozen dataclass per term former.  ``BINDERS``
+    aligns with its fields (``__match_args__``): how many variables each
+    subterm binds, none for a leaf's or a payload's (such as ``Var.index``)."""
 
-    ``BINDERS`` aligns with the dataclass fields (``__match_args__``) and
-    records how many variables each subterm binds.  Leaves (and non-term
-    payloads such as ``Var.index``) use an empty tuple.
-    """
-
+    __slots__ = ("_loose",)
     BINDERS: ClassVar[tuple[int, ...]] = ()
     FIELDS: ClassVar[tuple[tuple[str, int], ...]] = ()  # each field with its ``BINDERS`` entry
-    _loose: ClassVar[Optional[int]] = None  # until ``loose`` caches it on the instance
+
+    def __reduce__(self):  # copy and pickle rebuild through ``__init__``, which sets ``_loose``
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Universe(Term):
     level: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pi(Term):
     domain: Term
     codomain: Term  # binds one variable
     BINDERS = (0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lambda(Term):
     domain: Term
     body: Term  # binds one variable
     BINDERS = (0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fn: Term
     arg: Term
     BINDERS = (0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sigma(Term):
     first: Term
     second: Term  # binds one variable
     BINDERS = (0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair(Term):
     fst: Term
     snd: Term
     BINDERS = (0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndSigma(Term):
     motive: Term  # binds one variable (the scrutinee)
     step: Term
@@ -113,17 +111,17 @@ class IndSigma(Term):
     BINDERS = (1, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nat(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Succ(Term):
     pred: Term
     BINDERS = (0,)
@@ -135,7 +133,7 @@ class Succ(Term):
         return hash((Succ, *spine(self)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndNat(Term):
     motive: Term  # binds one variable
     base: Term
@@ -144,17 +142,17 @@ class IndNat(Term):
     BINDERS = (1, 0, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unit(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndUnit(Term):
     motive: Term  # binds one variable
     point: Term
@@ -162,38 +160,38 @@ class IndUnit(Term):
     BINDERS = (1, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Empty(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndEmpty(Term):
     motive: Term  # binds one variable
     scrutinee: Term
     BINDERS = (1, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coprod(Term):
     left: Term
     right: Term
     BINDERS = (0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inl(Term):
     value: Term
     BINDERS = (0,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inr(Term):
     value: Term
     BINDERS = (0,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndCoprod(Term):
     motive: Term  # binds one variable
     on_left: Term
@@ -202,7 +200,7 @@ class IndCoprod(Term):
     BINDERS = (1, 0, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Id(Term):
     type: Term
     lhs: Term
@@ -210,12 +208,12 @@ class Id(Term):
     BINDERS = (0, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Refl(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndEq(Term):
     base: Term
     motive: Term  # binds two variables (endpoint, path)
@@ -225,21 +223,21 @@ class IndEq(Term):
     BINDERS = (0, 2, 0, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class W(Term):
     shapes: Term
     arities: Term  # binds one variable
     BINDERS = (0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tree(Term):
     shape: Term
     components: Term
     BINDERS = (0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndW(Term):
     motive: Term  # binds one variable
     step: Term
@@ -247,19 +245,19 @@ class IndW(Term):
     BINDERS = (1, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trunc(Term):
     type: Term
     BINDERS = (0,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruncIn(Term):
     value: Term
     BINDERS = (0,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndTrunc(Term):
     motive: Term  # binds one variable
     point: Term
@@ -268,8 +266,29 @@ class IndTrunc(Term):
     BINDERS = (1, 0, 0, 0)
 
 
-for _former in Term.__subclasses__():
-    _former.FIELDS = tuple(zip(_former.__match_args__, _former.BINDERS))
+def _generate_inits(formers: list[type]) -> None:
+    """Replace each former's ``__init__`` by one generated in one ``exec``, as
+    ``dataclass`` generates its own: it sets each field through its slot
+    descriptor, then ``_loose`` to the highest of the children's bounds, each
+    less the binders entering it (``index + 1`` for a ``Var``, 0 for a leaf)."""
+    source, namespace = [], {}
+    for cls in formers:
+        names, tag = cls.__match_args__, cls.__name__
+        cls.FIELDS = tuple(zip(names, cls.BINDERS))
+        namespace.update({f"{tag}_{name}": getattr(cls, name).__set__ for name in ("_loose", *names)})
+        bounds = [f"{name}._loose - {k}" if k else f"{name}._loose" for name, k in cls.FIELDS]
+        if all(cls.BINDERS):  # a leaf, or every child under a binder: start at the least bound
+            bounds.insert(0, "index + 1" if cls is Var else "0")
+        body = [*(f"{tag}_{name}(self, {name})" for name in names), f"n = {bounds[0]}",
+                *(f"if (b := {bound}) > n: n = b" for bound in bounds[1:]), f"{tag}__loose(self, n)"]
+        source.append(f"def {tag}__init__(self, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in body))
+    exec("".join(source), namespace)
+    for cls in formers:
+        cls.__init__ = namespace[f"{cls.__name__}__init__"]
+
+
+_generate_inits([cls for cls in list(globals().values())
+                 if isinstance(cls, type) and issubclass(cls, Term) and cls is not Term])
 
 NAT = Nat()
 ZERO = Zero()
@@ -305,54 +324,34 @@ def spine(t: Term) -> tuple[int, Term]:
 
 def loose(t: Term) -> int:
     """One more than the highest free index of ``t``; 0 when ``t`` is closed."""
-    n = t._loose
-    if n is None:
-        # The last component of each node (a predecessor, a binder's body,
-        # an argument, ...) is walked in a loop: chains cost no depth.
-        chain = []
-        while t._loose is None and t.BINDERS:
-            chain.append(t)
-            t = getattr(t, t.FIELDS[-1][0])
-        n = t._loose
-        if n is None:
-            n = t.index + 1 if isinstance(t, Var) else 0
-            object.__setattr__(t, "_loose", n)
-        for u in reversed(chain):
-            if type(u) is not Succ:  # a Succ shares its predecessor's bound
-                n = 0
-                for sub, k in subterms(u):  # the last one is cached by now
-                    n = max(n, loose(sub) - k)
-            object.__setattr__(u, "_loose", n)
-    return n
+    return t._loose
 
 
 def _map_vars(t: Term, cutoff: int, depth: int, on_var) -> Term:
-    """``on_var`` applied to each index >= ``cutoff`` outside ``t``; the rest
-    shared.  A node built caches its bound when each child has one cached."""
-    n = t._loose
-    if (loose(t) if n is None else n) <= cutoff + depth:
-        return t
-    if isinstance(t, Var):
+    """``on_var`` applied to each index >= ``cutoff`` outside ``t``, which has
+    one; a child with none is shared, and a chain of ``fn`` or ``pred`` (an
+    application's spine, a numeral) is walked in a loop."""
+    if type(t) is Var:
         return on_var(t, depth)
-    if type(t) is Succ:
-        n, t = spine(t)
-        t = _map_vars(t, cutoff, depth, on_var)
-        for _ in range(n):
-            t = Succ(t)
+    bound, chain = cutoff + depth, []
+    while type(t) in (App, Succ) and t._loose > bound:
+        chain.append(t)
+        t = t.fn if type(t) is App else t.pred
+    if chain:
+        t = t if t._loose <= bound else _map_vars(t, cutoff, depth, on_var)
+        for u in reversed(chain):
+            a = u.arg if type(u) is App else None
+            if a is not None and a._loose > bound:
+                a = on_var(a, depth) if type(a) is Var else _map_vars(a, cutoff, depth, on_var)
+            t = Succ(t) if a is None else App(t, a)
         return t
-    children, n = [], 0
+    children = []
     for name, k in t.FIELDS:
-        sub = _map_vars(getattr(t, name), cutoff, depth + k, on_var)
+        sub = getattr(t, name)
+        if sub._loose > bound + k:
+            sub = on_var(sub, depth + k) if type(sub) is Var else _map_vars(sub, cutoff, depth + k, on_var)
         children.append(sub)
-        bound = sub._loose
-        if bound is None:
-            n = None
-        elif n is not None and bound - k > n:
-            n = bound - k
-    t = type(t)(*children)
-    if n is not None:
-        object.__setattr__(t, "_loose", n)
-    return t
+    return type(t)(*children)
 
 
 def shift(t: Term, cutoff: int, amount: int) -> Term:
@@ -361,7 +360,7 @@ def shift(t: Term, cutoff: int, amount: int) -> Term:
     Negative amounts are permitted only when no index would underflow;
     underflow indicates a kernel bug, not bad user input.
     """
-    if amount == 0:
+    if amount == 0 or t._loose <= cutoff:
         return t
 
     def on_var(v: Var, depth: int) -> Term:
@@ -378,12 +377,15 @@ def instantiate(t: Term, args: list[Term], j: int = 0) -> Term:
     argument binding ``j`` (a body under ``len(args)`` binders applied to them
     at once), and close the gap above them."""
     n = len(args)
-    if not n:
+    if not n or t._loose <= j:
         return t
 
     def on_var(v: Var, depth: int) -> Term:
         i = v.index - depth - j
-        return shift(args[-1 - i], 0, depth) if i < n else Var(v.index - n)
+        if i >= n:
+            return Var(v.index - n)
+        a = args[-1 - i]
+        return shift(a, 0, depth) if depth and a._loose else a
 
     return _map_vars(t, j, 0, on_var)
 
@@ -421,12 +423,8 @@ class Context:
 
     __slots__ = ("prefix", "last", "_length")
 
-    def __new__(cls, types: Iterable[Term] = ()) -> "Context":
-        ctx = object.__new__(cls)
-        ctx.prefix, ctx.last, ctx._length = None, None, 0
-        for ty in types:
-            ctx = ctx.extend(ty)
-        return ctx
+    def __init__(self) -> None:  # the empty context
+        self.prefix, self.last, self._length = None, None, 0
 
     def extend(self, ty: Term) -> "Context":
         ctx = object.__new__(Context)

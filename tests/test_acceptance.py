@@ -27,7 +27,6 @@ from hott.terms import (
     EMPTY_CONTEXT,
     EMPTY_SIGNATURE,
     Const,
-    Context,
     as_int,
     numeral,
     shift,
@@ -199,8 +198,8 @@ def test_criterion_5_kernel_properties():
             opened.append((IndNat(t.motive, t.base, t.step, Var(0)), ty))
     assert opened
     for t, ty in opened:
-        check(sig, Context((NAT,)), t, ty, ReductionBudget())
-        check(sig, Context((NAT, UNIT)), shift(t, 0, 1), shift(ty, 0, 1), ReductionBudget())
+        check(sig, EMPTY_CONTEXT.extend(NAT), t, ty, ReductionBudget())
+        check(sig, EMPTY_CONTEXT.extend(NAT).extend(UNIT), shift(t, 0, 1), shift(ty, 0, 1), ReductionBudget())
         check(sig, ctx, subst(t, 0, numeral(2)), subst(ty, 0, numeral(2)), ReductionBudget())
 
     # substitution cancels weakening on 1000 random scoped terms

@@ -26,7 +26,6 @@ from hott.terms import (
     UNIT,
     ZERO,
     App,
-    Context,
     IndNat,
     Inl,
     Lambda,
@@ -155,20 +154,20 @@ def _open_variants(population):
 
 
 def test_weakening_soundness(population):
-    ctx = Context((NAT,))
+    ctx = EMPTY_CONTEXT.extend(NAT)
     for t, ty in _open_variants(population):
         check(SIG, ctx, t, ty, bud())
         # insert a fresh entry innermost: indices shift by one
         check(SIG, ctx.extend(UNIT), shift(t, 0, 1), shift(ty, 0, 1), bud())
         # insert a fresh entry outermost: indices unchanged
-        check(SIG, Context((UNIT, NAT)), t, ty, bud())
+        check(SIG, EMPTY_CONTEXT.extend(UNIT).extend(NAT), t, ty, bud())
     # closed terms trivially survive weakening
     for t, ty in population[:PAIR_CAP]:
         check(SIG, ctx, t, ty, bud())
 
 
 def test_substitution_soundness(population):
-    ctx = Context((NAT,))
+    ctx = EMPTY_CONTEXT.extend(NAT)
     two = numeral(2)
     for t, ty in _open_variants(population):
         check(SIG, ctx, t, ty, bud())

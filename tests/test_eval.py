@@ -250,6 +250,18 @@ def test_arrow_into_long_spine_checks_and_prints():
     assert out == ["Nat -> F" + " 0" * n]
 
 
+@flat
+def test_open_spine_substitutes_in_a_loop():
+    # beta instantiates the lambda's body down the spine of ``f x … x`` in a
+    # loop, each node's bound set when it was built
+    n = 5_000
+    term = r"(\(x : Nat). f" + " x" * n + ") zero"
+    text = "postulate f : " + "Nat -> " * n + f"Nat\n#eval {term}\n#check {term} : Nat\n"
+    out: list[str] = []
+    process_module(EMPTY_SIGNATURE, parse(text, "spine.hott"), ProcessOptions(out=out.append))
+    assert out == ["f" + " 0" * n]
+
+
 def test_budget_ladder_matches_reference(stdlib_sig):
     # Every budget short of the total runs out at the same step as the
     # reference's, which ticks once per beta, one application at a time.

@@ -48,8 +48,8 @@ def test_resolve_expr_takes_no_binders():
 
 def test_wide_application_checks_at_the_default_limit(tmp_path):
     # A fresh interpreter at the default recursion limit: the checker walks
-    # an application spine in a loop, and ``terms.loose`` the function's
-    # type, not one frame per argument or arrow.
+    # an application spine in a loop, and each node of the function's type
+    # carries its bound from construction, not one frame per argument or arrow.
     path = tmp_path / "wide.hott"
     arity = 1_100
     path.write_text(

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import dataclasses
+import pickle
 import random
 import threading
 
@@ -10,20 +13,26 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hott import terms
+from hott.reduce import BudgetExhausted, ReductionBudget, normalize, whnf
 from hott.terms import (
+    EMPTY_CONTEXT,
+    EMPTY_SIGNATURE,
     NAT,
     ZERO,
     App,
     Const,
     Context,
     Declaration,
+    IndEq,
     KernelBug,
     Lambda,
+    Pair,
     Pi,
     Sigma,
     Signature,
     Succ,
     Term,
+    Universe,
     Var,
     numeral,
     as_int,
@@ -90,7 +99,7 @@ def test_context_lookup_shifts():
 
 
 def test_context_extend_shares_the_context_it_extends():
-    ctx = Context((NAT,))
+    ctx = EMPTY_CONTEXT.extend(NAT)
     grown = ctx.extend(App(Var(0), ZERO))
     assert grown.prefix is ctx
     assert len(grown) == 2 and grown.last == App(Var(0), ZERO) and grown.prefix.last == NAT
@@ -223,7 +232,7 @@ def _ref_subst(t: Term, j: int, s: Term) -> Term:
 
 
 def _fresh(t: Term) -> Term:
-    """An equal copy of ``t`` with no node shared, so no bound is cached yet."""
+    """An equal copy of ``t`` with no node shared, each built afresh."""
     return dataclasses.replace(t) if not type(t).BINDERS else type(t)(*[_fresh(sub) for sub, _ in _children(t)])
 
 
@@ -304,18 +313,25 @@ def test_instantiate_matches_sequential_subst_random(seed, fuel):
     _assert_instantiate_matches_reference(t, args)
 
 
-# -- the bound cached on a node that shift and instantiate build --------------
+# -- the bound set on each node when it is built -----------------------------
 #
 # A node built with too small a bound would make a later substitution skip
-# one of its variables; so every cached bound must equal the reference's.
+# one of its variables; so every node's bound must equal the reference's,
+# whether the parser, shift, instantiate or whnf built it.
 
 
 def _assert_cached_bounds_sound(t: Term) -> None:
     todo = [t]
     while todo:
         u = todo.pop()
-        assert u._loose is None or u._loose == _naive_loose(u), u
+        assert u._loose == _naive_loose(u), u
         todo.extend(sub for sub, _ in _children(u))
+
+
+def _apply(fn: Term, *args: Term) -> Term:
+    for arg in args:
+        fn = App(fn, arg)
+    return fn
 
 
 def _assert_built_bounds_sound(t: Term, args: list[Term]) -> None:
@@ -326,6 +342,8 @@ def _assert_built_bounds_sound(t: Term, args: list[Term]) -> None:
         for j in range(2):
             _assert_cached_bounds_sound(instantiate(t, args[:n], j))
     _assert_cached_bounds_sound(t)
+    with contextlib.suppress(BudgetExhausted):  # whnf's reducts, rebuilt under binders
+        _assert_cached_bounds_sound(normalize(EMPTY_SIGNATURE, _apply(Lambda(NAT, t), *args), ReductionBudget(200)))
 
 
 def test_built_bounds_are_sound_enumerated():
@@ -340,9 +358,17 @@ def test_built_bounds_are_sound_random(seed, fuel):
     rng = random.Random(seed)
     t = random_scoped_term(rng, rng.randrange(0, 5), fuel)
     args = [random_scoped_term(rng, rng.randrange(0, 3), 6) for _ in range(3)]
-    if rng.random() < 0.5:  # some bounds cached beforehand, on the term and on its parts
-        loose(rng.choice([t, *args]))
     _assert_built_bounds_sound(t, args)
+
+
+def test_parsed_and_reduced_bounds_are_exact(stdlib_sig):
+    for decl in stdlib_sig.declarations:
+        _assert_cached_bounds_sound(decl.type)
+        if decl.body is not None:
+            _assert_cached_bounds_sound(decl.body)
+            _assert_cached_bounds_sound(whnf(stdlib_sig, decl.body, ReductionBudget(), unfold=True))
+    for name in ("exp", "factorial", "fib"):
+        _assert_cached_bounds_sound(normalize(stdlib_sig, App(Const(name), numeral(3)), ReductionBudget()))
 
 
 def test_loose_is_invisible_to_equality():
@@ -351,6 +377,39 @@ def test_loose_is_invisible_to_equality():
     fresh = Lambda(NAT, App(Var(1), Var(0)))
     assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
     assert "_loose" not in {f.name for f in dataclasses.fields(t)}
+
+
+def test_nodes_are_slotted_frozen_dataclasses():
+    leaves = [Var(3), Const("c"), Universe(1), NAT, ZERO, terms.UNIT, terms.STAR, terms.EMPTY, terms.REFL]
+    for t in [*leaves, *_every_former_over_vars()]:
+        assert not hasattr(t, "__dict__"), t
+        assert type(t).__match_args__ == tuple(f.name for f in dataclasses.fields(t))
+        for name in type(t).__match_args__:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, ZERO)
+        # not a field: CPython 3.11's frozen slotted __setattr__ raises TypeError
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            t._loose = 0
+        for twin in (dataclasses.replace(t), copy.copy(t), pickle.loads(pickle.dumps(t))):
+            assert twin == t and hash(twin) == hash(t) and repr(twin) == repr(t), t
+            assert twin._loose == t._loose == _naive_loose(t), t
+
+
+def test_nodes_compare_print_and_match_as_dataclasses():
+    t = App(Lambda(NAT, Var(1)), Var(0))
+    assert repr(t) == "App(fn=Lambda(domain=Nat(), body=Var(index=1)), arg=Var(index=0))"
+    assert App.__match_args__ == ("fn", "arg")
+    assert IndEq.__match_args__ == ("base", "motive", "center", "endpoint", "path")
+    assert t == App(Lambda(NAT, Var(1)), Var(0)) and hash(t) == hash(App(Lambda(NAT, Var(1)), Var(0)))
+    assert t != App(Lambda(NAT, Var(1)), Var(1)) and t != Pair(Lambda(NAT, Var(1)), Var(0))
+    closed = dataclasses.replace(t, arg=ZERO)
+    assert closed == App(Lambda(NAT, Var(1)), ZERO) and (loose(closed), loose(t)) == (1, 1)
+    assert loose(dataclasses.replace(closed, fn=Lambda(NAT, Var(0)))) == 0
+    match t:
+        case App(Lambda(domain, body), arg):
+            assert (domain, body, arg) == (NAT, Var(1), Var(0))
+        case _:
+            raise AssertionError(t)
 
 
 # Numerals far deeper than the interpreter's recursion limit, on the main
@@ -363,7 +422,7 @@ BIG = 500_000
 def test_closed_deep_numeral_is_shared_on_main_thread():
     assert threading.current_thread() is threading.main_thread()
     n = numeral(BIG)
-    assert loose(n) == 0 and n.pred._loose == 0  # cached on every node of the chain
+    assert loose(n) == 0 and n.pred._loose == 0  # set on every node of the chain
     assert shift(n, 0, 1) is n
     assert subst(n, 0, ZERO) is n
     body = subst(Lambda(NAT, App(Var(1), Var(1))), 0, n)
@@ -399,12 +458,12 @@ def test_deep_open_chain_shift_and_subst():
 
 @flat
 def test_deep_binder_chain_bound():
-    # The body of each binder is walked in a loop, as a chain of Succ is.
+    # Each node's bound is set when it is built: reading it walks nothing.
     t = Var(6_000)
     for former in [Pi, Sigma, Lambda] * 2_000:
         t = former(NAT, t)
     assert loose(t) == 1
-    assert t.body.second.codomain._loose == 4  # cached on every node of the chain
+    assert t.body.second.codomain._loose == 4  # set on every node of the chain
 
 
 # -- signatures sharing one store ------------------------------------------

@@ -24,7 +24,6 @@ from hott.terms import (
     ZERO,
     App,
     Const,
-    Context,
     Coprod,
     Declaration,
     Id,
@@ -83,7 +82,7 @@ def test_every_former_has_a_typing_rule():
     for former in formers:
         t = leaves.get(former) or former(*(Var(0) for _ in former.__match_args__))
         try:
-            infer(SIG, Context((NAT,)), t)
+            infer(SIG, EMPTY_CONTEXT.extend(NAT), t)
             message = ""
         except CheckError as e:
             message = e.message
@@ -184,7 +183,7 @@ def test_weakening_soundness_spot():
     check(SIG, ctx, t, NAT)
     check(SIG, ctx.extend(UNIT), shift(t, 0, 1), NAT)
     # and inserting at the outer end leaves indices alone
-    check(SIG, Context((UNIT, NAT)), t, NAT)
+    check(SIG, EMPTY_CONTEXT.extend(UNIT).extend(NAT), t, NAT)
 
 
 def test_substitution_soundness_spot():
