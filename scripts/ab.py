@@ -6,8 +6,13 @@ side by side in one interpreter.
 
 exports ``src/`` at ``REV`` as ``differential.py`` does and loads both
 ``hott`` packages at once, as ``hott_old`` and ``hott_new``.  Each round
-runs three workloads on each tree, the trees in alternating order:
+times each tree's start and runs three workloads on it, the trees in
+alternating order:
 
+- ``setup``: ``import hott.cli`` in a fresh interpreter, timed inside it.
+  Both trees are byte-compiled first (``compileall``): an import that finds
+  stale bytecode compiles its source again, and writes none when
+  ``PYTHONDONTWRITEBYTECODE`` is set, so it would time the compiler.
 - ``stdlib``: ``hott check`` on the ten stdlib files through ``cli.main``.
 - ``eval``: ``perfbench/corpus.py``'s seed-7 expressions, each run as
   ``hott eval --print-normal-forms`` runs it, as an ``#eval`` item through
@@ -18,17 +23,19 @@ runs three workloads on each tree, the trees in alternating order:
 
 Items are timed at ``loader.execute``, as ``perfbench/drive.py``'s
 ``ItemTimer`` times them.  It exits 1 unless both trees print the same
-output and take the same reduction steps on every item.  Then it prints,
-per workload, the median verdict time over rounds, and item p50 and p90,
-the deciles over items of each item's median time, each with its new/old
-ratio.  Both trees share one process, so drift in the host's speed hits
-both alike; the absolute times are not ``perfbench``'s, which starts a
-fresh interpreter per pass.
+output and take the same reduction steps on every item.  Then it prints
+the median import time over rounds and, per workload, the median verdict
+time over rounds, and item p50 and p90, the deciles over items of each
+item's median time, each with its new/old ratio.  The workloads of both
+trees share one process, so drift in the host's speed hits both alike; the
+absolute times are not ``perfbench``'s, which starts a fresh interpreter
+per pass.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import contextlib
 import importlib
 import importlib.util
@@ -62,11 +69,19 @@ def load(name: str, src: Path):
     return package
 
 
-class Tree:
-    """One ``hott`` package, with its inputs and what its runs took."""
+def import_s(src: Path) -> float:
+    """Seconds a fresh interpreter takes to ``import hott.cli`` from ``src``."""
+    code = (f"import sys, time; sys.path.insert(0, {str(src)!r}); t0 = time.perf_counter()\n"
+            "import hott.cli\n"
+            "print(time.perf_counter() - t0)")
+    return float(subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout)
 
-    def __init__(self, package):
-        self.hott = package
+
+class Tree:
+    """One ``hott`` package, with its source, its inputs and what its runs took."""
+
+    def __init__(self, package, src: Path):
+        self.hott, self.src = package, src
         loader, parser = package.loader, package.parser
         sig, opts = package.terms.EMPTY_SIGNATURE, loader.ProcessOptions(out=lambda line: None)
         for name in NAT_FILES:
@@ -76,6 +91,7 @@ class Tree:
         self.nat_sig = sig
         # workload -> (verdicts, item times per round)
         self.times = {workload: ([], []) for workload in ("stdlib", "eval", "bulk")}
+        self.imports: list[float] = []
         self.outputs: dict[str, list] = {}
 
     @contextlib.contextmanager
@@ -159,13 +175,17 @@ def main(argv: list[str]) -> int:
         except subprocess.CalledProcessError as e:
             print(f"cannot export {args.rev}: {e.stderr.decode().strip()}", file=sys.stderr)
             return 2
-        trees = {"old": Tree(load("hott_old", old_src)), "new": Tree(load("hott_new", ROOT / "src"))}
+        srcs = {"old": old_src, "new": ROOT / "src"}
+        for src in srcs.values():
+            compileall.compile_dir(src, quiet=1)
+        trees = {side: Tree(load(f"hott_{side}", src), src) for side, src in srcs.items()}
         paths = []
         for name, text in bulk_library(BULK_SEED).texts():
             paths.append(str(Path(tmp) / name))
             Path(paths[-1]).write_text(text, encoding="utf-8")
         for r in range(args.rounds):
             for tree in (trees.values() if r % 2 == 0 else reversed(trees.values())):
+                tree.imports.append(import_s(tree.src))
                 tree.run_stdlib()
                 tree.run_eval(texts)
                 tree.run_bulk(paths)
@@ -175,6 +195,8 @@ def main(argv: list[str]) -> int:
             print(f"{key} differs between {args.rev} and the working tree")
             return 1
     print(f"{args.rounds} rounds, outputs and steps identical; old = {args.rev}, new = working tree")
+    a, b = statistics.median(old.imports), statistics.median(new.imports)
+    print(f"  {'setup':6} {'import_s':11}  old {a:9.4f}  new {b:9.4f}  new/old {b / a:.3f}")
     for workload in old.times:
         rows = zip(("verdict_s", "item_ms.p50", "item_ms.p90"), summary(old, workload), summary(new, workload))
         for name, a, b in rows:

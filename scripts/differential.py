@@ -42,7 +42,6 @@ used.  The families:
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -124,11 +123,11 @@ def _repr(x) -> str:
             newest_first.append(x.last)
             x = x.prefix
         return _repr(newest_first[::-1])
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+    if hasattr(type(x), "__match_args__") and not isinstance(x, type):  # a term or a dataclass
         n = 0
         while type(x).__name__ == "Succ":
             n, x = n + 1, x.pred
-        args = ", ".join(f"{f.name}={_repr(getattr(x, f.name))}" for f in dataclasses.fields(x))
+        args = ", ".join(f"{name}={_repr(getattr(x, name))}" for name in type(x).__match_args__)
         return f"Succ^{n}({type(x).__name__}({args}))" if n else f"{type(x).__name__}({args})"
     if isinstance(x, (tuple, list)):
         return "(" + ", ".join(_repr(y) for y in x) + ")"

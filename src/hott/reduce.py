@@ -15,7 +15,7 @@ instead of a hang.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .terms import (
@@ -127,7 +127,7 @@ def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False)
                 t, *pushed = contract(t, s)
                 args.extend(reversed(pushed))
                 continue
-            t = t if s is old else replace(t, **{field: s})
+            t = t if s is old else type(t)(*(s if f == field else getattr(t, f) for f in t.__match_args__))
             break
 
         # Not in IOTA: the recursive branch is a function over the arity

@@ -5,16 +5,18 @@ bound variable as index 0, with all enclosing indices shifted up by one.
 The index-manipulation calculus (shift/subst/instantiate) lives here;
 evaluation and type checking are built on top of it.
 
-Nodes are slotted frozen dataclasses.  Each carries ``_loose``, 1 + its
-highest free index (0 when closed), set when the node is built from its
-children's, like Lean 4's ``looseBVarRange``: shift and subst share each
-subterm whose indices cannot move.  It is a slot outside the dataclass
-fields, so ``==``, ``hash`` and ``repr`` ignore it.
+Nodes are slotted and frozen, and compare, hash and print as frozen
+dataclasses do, but are none: one generator, ``Term.__init_subclass__``,
+writes each former's ``__init__``, ``__eq__`` and ``__hash__``.  Each node
+carries ``_loose``, 1 + its highest free index (0 when closed), set when the
+node is built from its children's, like Lean 4's ``looseBVarRange``: shift
+and subst share each subterm whose indices cannot move.  It is a slot
+outside the fields, so ``==``, ``hash`` and ``repr`` ignore it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import ClassVar, Iterable, Iterator, Optional
 
 DEFAULT_MAX_STEPS = 10_000_000
@@ -41,89 +43,112 @@ class LocatedError(Exception):
 
 
 class Term:
-    """Base class; one slotted frozen dataclass per term former.  ``BINDERS``
-    aligns with its fields (``__match_args__``): how many variables each
-    subterm binds, none for a leaf's or a payload's (such as ``Var.index``)."""
+    """Base class of the term formers.  A former lists its fields as
+    ``__slots__ = __match_args__`` and, aligned with them, ``BINDERS``: how
+    many variables each subterm binds, none for a leaf's or a payload's
+    (such as ``Var.index``).  ``__init_subclass__`` writes each former's
+    ``__init__``, ``__eq__`` and ``__hash__``; ``Term`` gives every former
+    a frozen dataclass's ``__setattr__``, ``__delattr__`` and ``repr``."""
 
     __slots__ = ("_loose",)
     BINDERS: ClassVar[tuple[int, ...]] = ()
     FIELDS: ClassVar[tuple[tuple[str, int], ...]] = ()  # each field with its ``BINDERS`` entry
 
+    def __init_subclass__(cls) -> None:
+        """Generate the former's methods from one source string in one
+        ``exec``, as ``dataclass`` generates its own.  ``__init__`` sets each
+        field through its slot descriptor, then ``_loose`` to the highest of
+        the children's bounds, each less the binders entering it (``index +
+        1`` for a ``Var``, 0 for a leaf).  ``__eq__`` and ``__hash__`` are a
+        dataclass's: same class and equal field tuples, and the field tuple's
+        hash; a former that defines its own ``__eq__`` keeps both of its own."""
+        names = cls.__match_args__
+        cls.FIELDS = tuple(zip(names, cls.BINDERS))
+        bounds = [f"{name}._loose - {k}" if k else f"{name}._loose" for name, k in cls.FIELDS]
+        if all(cls.BINDERS):  # a leaf, or every child under a binder: start at the least bound
+            bounds.insert(0, "index + 1" if cls.__name__ == "Var" else "0")
+        body = [*(f"set_{name}(self, {name})" for name in names), f"n = {bounds[0]}",
+                *(f"if (b := {bound}) > n: n = b" for bound in bounds[1:]), "set__loose(self, n)"]
+        source = [f"def __init__(self, {', '.join(names)}):", *(f"    {line}" for line in body)]
+        if "__eq__" not in cls.__dict__:
+            mine = "(" + "".join(f"self.{name}, " for name in names) + ")"
+            theirs = "(" + "".join(f"other.{name}, " for name in names) + ")"
+            source += ["def __eq__(self, other):", "    if other.__class__ is self.__class__:",
+                       f"        return {mine} == {theirs}", "    return NotImplemented",
+                       "def __hash__(self):", f"    return hash({mine})"]
+        namespace = {f"set_{name}": getattr(cls, name).__set__ for name in ("_loose", *names)}
+        # compiled under the former's name, which tracebacks and profiles show as the file
+        exec(compile("\n".join(source), f"<{cls.__name__}>", "exec"), namespace)
+        for method in ("__init__", "__eq__", "__hash__"):
+            if method in namespace:
+                setattr(cls, method, namespace[method])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __reduce__(self):  # copy and pickle rebuild through ``__init__``, which sets ``_loose``
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    index: int
+    __slots__ = __match_args__ = ("index",)
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Term):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class Universe(Term):
-    level: int
+    __slots__ = __match_args__ = ("level",)
 
 
-@dataclass(frozen=True, slots=True)
 class Pi(Term):
-    domain: Term
-    codomain: Term  # binds one variable
+    __slots__ = __match_args__ = ("domain", "codomain")
     BINDERS = (0, 1)
 
 
-@dataclass(frozen=True, slots=True)
 class Lambda(Term):
-    domain: Term
-    body: Term  # binds one variable
+    __slots__ = __match_args__ = ("domain", "body")
     BINDERS = (0, 1)
 
 
-@dataclass(frozen=True, slots=True)
 class App(Term):
-    fn: Term
-    arg: Term
+    __slots__ = __match_args__ = ("fn", "arg")
     BINDERS = (0, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class Sigma(Term):
-    first: Term
-    second: Term  # binds one variable
+    __slots__ = __match_args__ = ("first", "second")
     BINDERS = (0, 1)
 
 
-@dataclass(frozen=True, slots=True)
 class Pair(Term):
-    fst: Term
-    snd: Term
+    __slots__ = __match_args__ = ("fst", "snd")
     BINDERS = (0, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class IndSigma(Term):
-    motive: Term  # binds one variable (the scrutinee)
-    step: Term
-    scrutinee: Term
+    __slots__ = __match_args__ = ("motive", "step", "scrutinee")  # the motive binds the scrutinee
     BINDERS = (1, 0, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class Nat(Term):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Zero(Term):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Succ(Term):
-    pred: Term
+    __slots__ = __match_args__ = ("pred",)
     BINDERS = (0,)
 
     def __eq__(self, other: object) -> bool:
@@ -133,162 +158,97 @@ class Succ(Term):
         return hash((Succ, *spine(self)))
 
 
-@dataclass(frozen=True, slots=True)
 class IndNat(Term):
-    motive: Term  # binds one variable
-    base: Term
-    step: Term
-    scrutinee: Term
+    __slots__ = __match_args__ = ("motive", "base", "step", "scrutinee")
     BINDERS = (1, 0, 0, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class Unit(Term):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Star(Term):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class IndUnit(Term):
-    motive: Term  # binds one variable
-    point: Term
-    scrutinee: Term
+    __slots__ = __match_args__ = ("motive", "point", "scrutinee")
     BINDERS = (1, 0, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class Empty(Term):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class IndEmpty(Term):
-    motive: Term  # binds one variable
-    scrutinee: Term
+    __slots__ = __match_args__ = ("motive", "scrutinee")
     BINDERS = (1, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class Coprod(Term):
-    left: Term
-    right: Term
+    __slots__ = __match_args__ = ("left", "right")
     BINDERS = (0, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class Inl(Term):
-    value: Term
+    __slots__ = __match_args__ = ("value",)
     BINDERS = (0,)
 
 
-@dataclass(frozen=True, slots=True)
 class Inr(Term):
-    value: Term
+    __slots__ = __match_args__ = ("value",)
     BINDERS = (0,)
 
 
-@dataclass(frozen=True, slots=True)
 class IndCoprod(Term):
-    motive: Term  # binds one variable
-    on_left: Term
-    on_right: Term
-    scrutinee: Term
+    __slots__ = __match_args__ = ("motive", "on_left", "on_right", "scrutinee")
     BINDERS = (1, 0, 0, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class Id(Term):
-    type: Term
-    lhs: Term
-    rhs: Term
+    __slots__ = __match_args__ = ("type", "lhs", "rhs")
     BINDERS = (0, 0, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class Refl(Term):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class IndEq(Term):
-    base: Term
-    motive: Term  # binds two variables (endpoint, path)
-    center: Term
-    endpoint: Term
-    path: Term
+    # the motive binds two variables (endpoint, path)
+    __slots__ = __match_args__ = ("base", "motive", "center", "endpoint", "path")
     BINDERS = (0, 2, 0, 0, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class W(Term):
-    shapes: Term
-    arities: Term  # binds one variable
+    __slots__ = __match_args__ = ("shapes", "arities")
     BINDERS = (0, 1)
 
 
-@dataclass(frozen=True, slots=True)
 class Tree(Term):
-    shape: Term
-    components: Term
+    __slots__ = __match_args__ = ("shape", "components")
     BINDERS = (0, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class IndW(Term):
-    motive: Term  # binds one variable
-    step: Term
-    scrutinee: Term
+    __slots__ = __match_args__ = ("motive", "step", "scrutinee")
     BINDERS = (1, 0, 0)
 
 
-@dataclass(frozen=True, slots=True)
 class Trunc(Term):
-    type: Term
+    __slots__ = __match_args__ = ("type",)
     BINDERS = (0,)
 
 
-@dataclass(frozen=True, slots=True)
 class TruncIn(Term):
-    value: Term
+    __slots__ = __match_args__ = ("value",)
     BINDERS = (0,)
 
 
-@dataclass(frozen=True, slots=True)
 class IndTrunc(Term):
-    motive: Term  # binds one variable
-    point: Term
-    coherence: Term
-    scrutinee: Term
+    __slots__ = __match_args__ = ("motive", "point", "coherence", "scrutinee")
     BINDERS = (1, 0, 0, 0)
 
-
-def _generate_inits(formers: list[type]) -> None:
-    """Replace each former's ``__init__`` by one generated in one ``exec``, as
-    ``dataclass`` generates its own: it sets each field through its slot
-    descriptor, then ``_loose`` to the highest of the children's bounds, each
-    less the binders entering it (``index + 1`` for a ``Var``, 0 for a leaf)."""
-    source, namespace = [], {}
-    for cls in formers:
-        names, tag = cls.__match_args__, cls.__name__
-        cls.FIELDS = tuple(zip(names, cls.BINDERS))
-        namespace.update({f"{tag}_{name}": getattr(cls, name).__set__ for name in ("_loose", *names)})
-        bounds = [f"{name}._loose - {k}" if k else f"{name}._loose" for name, k in cls.FIELDS]
-        if all(cls.BINDERS):  # a leaf, or every child under a binder: start at the least bound
-            bounds.insert(0, "index + 1" if cls is Var else "0")
-        body = [*(f"{tag}_{name}(self, {name})" for name in names), f"n = {bounds[0]}",
-                *(f"if (b := {bound}) > n: n = b" for bound in bounds[1:]), f"{tag}__loose(self, n)"]
-        source.append(f"def {tag}__init__(self, {', '.join(names)}):\n" + "".join(f"    {line}\n" for line in body))
-    exec("".join(source), namespace)
-    for cls in formers:
-        cls.__init__ = namespace[f"{cls.__name__}__init__"]
-
-
-_generate_inits([cls for cls in list(globals().values())
-                 if isinstance(cls, type) and issubclass(cls, Term) and cls is not Term])
 
 NAT = Nat()
 ZERO = Zero()

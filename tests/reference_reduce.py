@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Callable, Iterator
 
 from hott.reduce import ReductionBudget
@@ -114,7 +113,7 @@ def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False)
                 budget.tick()
                 t = contract(t, s)
                 continue
-            return t if s is old else replace(t, **{field: s})
+            return t if s is old else type(t)(*(s if f == field else getattr(t, f) for f in t.__match_args__))
 
         # Not in IOTA: the recursive branch is a function over the arity
         # of the tree, whose domain annotation comes from the components

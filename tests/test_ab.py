@@ -1,5 +1,6 @@
 """Smoke test of ``scripts/ab.py``: one round against ``HEAD`` finds the same
-outputs and steps in both trees and reports every workload."""
+outputs and steps in both trees and reports the import time and every
+workload."""
 
 from __future__ import annotations
 
@@ -20,5 +21,5 @@ def test_one_round_against_head_reports_every_workload():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     header, *rows = proc.stdout.splitlines()
     assert header.startswith("1 rounds, outputs and steps identical")
-    assert {row.split()[0] for row in rows} == {"stdlib", "eval", "bulk"}
-    assert len(rows) == 9  # verdict_s, item_ms.p50 and item_ms.p90 per workload
+    assert {row.split()[0] for row in rows} == {"setup", "stdlib", "eval", "bulk"}
+    assert len(rows) == 10  # import_s, then verdict_s, item_ms.p50 and item_ms.p90 per workload
