@@ -154,11 +154,9 @@ def _outcome(fn: Callable, *args, max_steps: Optional[int] = None) -> str:
 
 
 def _show_check_error(e) -> str:
-    """A ``CheckError``'s fields, read from the error itself or, in a tree
-    whose error wraps them in a record, from its ``diagnostic``."""
-    fields = getattr(e, "diagnostic", e)
+    """A ``CheckError``'s fields."""
     names = ("rule", "message", "found", "expected", "context", "span")
-    return ", ".join(f"{name}={_show(getattr(fields, name))}" for name in names)
+    return ", ".join(f"{name}={_show(getattr(e, name))}" for name in names)
 
 
 def _run_cli(argv: list[str]) -> str:
@@ -252,17 +250,13 @@ def _resolved(text: str) -> str:
         return f"{type(e).__name__}: {e}"
 
 
-# Class name -> the kind of record or item it is.  A tree runs either the
-# parser's items (``DefItem`` ...) or resolved copies of them (``RDef`` ...),
-# so records are compared by what they hold, not by their classes.
+# Class name -> the kind of item it is.
 _KINDS = {
-    "DefItem": "def", "RDef": "def", "PostulateItem": "postulate", "RPostulate": "postulate",
-    "PragmaCheck": "#check", "RCheck": "#check", "PragmaEval": "#eval", "REval": "#eval",
-    "PragmaAssert": "#assert", "RAssert": "#assert", "PragmaAssertEq": "#assert-eq",
-    "PragmaAssertNeq": "#assert-neq", "PragmaFail": "#fail", "RFail": "#fail",
+    "DefItem": "def", "PostulateItem": "postulate", "PragmaCheck": "#check",
+    "PragmaEval": "#eval", "PragmaAssert": "#assert", "PragmaFail": "#fail",
 }
 # Field -> the name it is compared under: a pragma's expression is its term.
-_TERM_FIELDS = {"expr": "term", "term": "term", "lhs": "lhs", "rhs": "rhs", "body": "body", "type": "type"}
+_TERM_FIELDS = {"expr": "term", "lhs": "lhs", "rhs": "rhs", "body": "body", "type": "type"}
 
 
 def _kind(record) -> str:
@@ -274,12 +268,12 @@ def _kind(record) -> str:
 
 def _record_terms(record) -> dict:
     """Each resolved term of ``record``, under its field's name in
-    ``_TERM_FIELDS``; a parsed expression is read as its term."""
+    ``_TERM_FIELDS``."""
     terms = {}
     for field, shown in _TERM_FIELDS.items():
         value = getattr(record, field, None)
         if value is not None:
-            terms[shown] = getattr(value, "term", value)
+            terms[shown] = value.term
     return terms
 
 

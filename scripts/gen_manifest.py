@@ -12,25 +12,11 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from differential import STDLIB, STDLIB_ORDER
 from hott.parser import DefItem, PostulateItem, parse, resolve_expr
 from hott.pretty import pretty
-
-STDLIB_ORDER = [
-    "prelude.hott",
-    "nat.hott",
-    "int.hott",
-    "identity.hott",
-    "eqnat.hott",
-    "fin.hott",
-    "sigma-id.hott",
-    "equiv.hott",
-    "axioms.hott",
-    "circle.hott",
-]
-
-
-STDLIB = Path(__file__).resolve().parents[1] / "stdlib"
 
 
 def manifest_lines() -> list[str]:

@@ -260,6 +260,15 @@ class Parser:
             raise ParseError(f"unexpected {tok.text!r}", tok.span, {kind})
         return self.next()
 
+    def expect_literal(self) -> int:
+        """The next token, a numeric literal, as an int.  One longer than the
+        interpreter converts is a parse error at the literal."""
+        tok = self.expect("nat")
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise ParseError(f"numeric literal of {len(tok.text)} digits is too long", tok.span) from None
+
     # -- items --------------------------------------------------------------
 
     def parse_module(self, path: str = "<input>") -> SurfaceModule:
@@ -424,8 +433,7 @@ class Parser:
             self.names.append((tok.text, tok.span))
             return Const(tok.text)
         if tok.kind == "nat":
-            self.next()
-            return numeral(int(tok.text))
+            return numeral(self.expect_literal())
         if tok.kind == "succ":  # bare succ: the successor function
             self.next()
             return Lambda(NAT, Succ(Var(0)))
@@ -434,8 +442,7 @@ class Parser:
             return CONSTANTS[tok.kind]
         if tok.kind == "Type":
             self.next()
-            lvl = self.expect("nat")
-            return Universe(int(lvl.text))
+            return Universe(self.expect_literal())
         if tok.kind == "(":
             self.next()
             e = self.parse_expr()

@@ -1,12 +1,10 @@
 """Reduction and judgmental equality.
 
 ``whnf`` contracts head redexes (beta, all iota rules, and definition
-unfolding where a constant blocks progress).  The iota rules are one
-table, ``IOTA``: each eliminator's scrutinee field and, per constructor,
-its contraction; one loop in ``whnf`` reads it, and only ``IndW`` has a
-branch of its own.  ``normalize`` produces full beta/iota/delta-normal
-forms.  ``conv`` decides judgmental equality of well-typed terms, with
-eta for Pi and for no other former.
+unfolding where a constant blocks progress) in one loop over one stack;
+the iota rules are one table, ``IOTA``.  ``normalize`` produces full
+beta/iota/delta-normal forms.  ``conv`` decides judgmental equality of
+well-typed terms, with eta for Pi and for no other former.
 
 The theory has no general fixpoints, so every well-typed term normalizes;
 the step budget turns a kernel bug or an adversarial input into an error
@@ -78,7 +76,9 @@ def _unfold(sig: Signature, t: Term) -> Term | None:
 # Eliminator -> (scrutinee field, constructor -> contraction).  A contraction
 # maps the eliminator and its scrutinee in whnf to the reduct's head and then
 # its arguments, for ``whnf``'s stack.  ``IndEmpty`` has no constructor: no rule.
-IOTA: dict[type, tuple[str, dict[type, Callable[[Term, Term], tuple[Term, ...]]]]] = {
+# ``IndW``'s tree maps to a rule, not a contraction: it waits for its components'
+# lambda, whose domain annotates the recursive branch, and contracts with the tree.
+IOTA: dict[type, tuple[str, dict[type, Callable | tuple]]] = {
     IndNat: ("scrutinee", {
         Zero: lambda t, s: (t.base,),
         Succ: lambda t, s: (t.step, s.pred, IndNat(t.motive, t.base, t.step, s.pred)),
@@ -91,19 +91,25 @@ IOTA: dict[type, tuple[str, dict[type, Callable[[Term, Term], tuple[Term, ...]]]
     }),
     IndEq: ("path", {Refl: lambda t, s: (t.center,)}),
     IndTrunc: ("scrutinee", {TruncIn: lambda t, s: (t.point, s.value)}),
+    IndW: ("scrutinee", {Tree: ("components", {Lambda: lambda t, s, c: (t.step, s.shape, c, Lambda(
+        c.domain, IndW(shift(t.motive, 1, 1), shift(t.step, 0, 1), App(shift(c, 0, 1), Var(0)))))})}),
 }
 
 
 def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False) -> Term:
     """Weak head normal form, ``t`` itself when no step is taken.
 
-    One loop over the head, with the spine's arguments on a stack (the next
-    one last): a lambda head takes them one tick each, in one substitution,
-    and a head with arguments unfolds if it is a defined constant.  A bare
-    defined constant at the top is left alone unless ``unfold`` is set, so
-    that conversion can compare equal-named constants without unfolding.
+    One loop over one stack: the spine's arguments (the next one last) above
+    frames, each an eliminator waiting for its scrutinee's head.  A lambda
+    head takes arguments one tick each, in one substitution; a head with no
+    arguments above the top frame contracts through that frame's table.  A
+    defined constant unfolds if something waits on it or ``unfold`` is set;
+    ``conv`` leaves it unset, to compare equal names before unfolding.  Any
+    other head is stuck, and so is every waiting eliminator: each is rebuilt
+    around the term reached, or is itself if its wait took no step.
     """
     start, steps, args = t, budget.steps_used, []
+    frames = None  # or (eliminator, rule, its arguments, steps when it began, the frame below)
     while True:
         while isinstance(t, App):
             args.append(t.arg)
@@ -117,38 +123,25 @@ def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False)
             t = instantiate(t, taken)
             continue
         rule = IOTA.get(type(t))
-        if rule is not None:
-            field, contractions = rule
-            old = getattr(t, field)
-            s = whnf(sig, old, budget, unfold=True)
-            contract = contractions.get(type(s))
-            if contract is not None:
+        if frames and rule is None and not args:
+            contract = frames[1][1].get(type(t))  # through the top frame's table
+            if type(contract) is tuple:  # IndW's tree: its components are waited for next
+                rule = contract
+            elif contract is not None:
                 budget.tick()
-                t, *pushed = contract(t, s)
+                elim, _, args, _, frames = frames
+                if type(elim) in IOTA:
+                    t, *pushed = contract(elim, t)
+                else:  # the tree, with IndW waiting below it
+                    w, _, args, _, frames = frames
+                    t, *pushed = contract(w, elim, t)
                 args.extend(reversed(pushed))
                 continue
-            t = t if s is old else type(t)(*(s if f == field else getattr(t, f) for f in t.__match_args__))
-            break
-
-        # Not in IOTA: the recursive branch is a function over the arity
-        # of the tree, whose domain annotation comes from the components
-        # function, so the rule fires only once the components' whnf
-        # exposes a lambda (always the case for closed canonical trees).
-        if isinstance(t, IndW):
-            s = whnf(sig, t.scrutinee, budget, unfold=True)
-            if isinstance(s, Tree):
-                comps = whnf(sig, s.components, budget, unfold=True)
-                if isinstance(comps, Lambda):
-                    budget.tick()
-                    rec = Lambda(comps.domain, IndW(shift(t.motive, 1, 1), shift(t.step, 0, 1),
-                                                    App(shift(comps, 0, 1), Var(0))))
-                    t = App(App(App(t.step, s.shape), comps), rec)
-                    continue
-                s = Tree(s.shape, comps)
-            t = IndW(t.motive, t.step, s)
-            break
-
-        body = _unfold(sig, t) if unfold or args else None
+        if rule is not None:
+            frames = (t, rule, args, budget.steps_used, frames)
+            t, args = getattr(t, rule[0]), []
+            continue
+        body = _unfold(sig, t) if unfold or args or frames else None
         if body is None:
             break
         budget.tick()
@@ -156,9 +149,15 @@ def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False)
 
     if budget.steps_used == steps:
         return start
-    while args:
-        t = App(t, args.pop())
-    return t
+    while True:  # the head is stuck: rebuild each waiting eliminator, top frame first
+        while args:
+            t = App(t, args.pop())
+        if frames is None:
+            return t
+        elim, (field, _), args, waited, frames = frames
+        if budget.steps_used != waited:
+            elim = type(elim)(*(t if f == field else getattr(elim, f) for f in elim.__match_args__))
+        t = elim
 
 
 def normalize(sig: Signature, t: Term, budget: ReductionBudget) -> Term:

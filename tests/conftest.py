@@ -12,20 +12,8 @@ from hott.parser import parse
 from hott.terms import EMPTY_SIGNATURE, Signature
 
 ROOT = Path(__file__).resolve().parents[1]
-STDLIB = ROOT / "stdlib"
-
-STDLIB_ORDER = [
-    "prelude.hott",
-    "nat.hott",
-    "int.hott",
-    "identity.hott",
-    "eqnat.hott",
-    "fin.hott",
-    "sigma-id.hott",
-    "equiv.hott",
-    "axioms.hott",
-    "circle.hott",
-]
+sys.path.insert(0, str(ROOT / "scripts"))
+from differential import STDLIB, STDLIB_ORDER  # noqa: E402  (the one list of the stdlib's files)
 
 
 def stdlib_paths() -> list[Path]:

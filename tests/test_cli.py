@@ -95,6 +95,29 @@ def test_eval_parse_error_exit_2():
     assert proc.returncode == 2
 
 
+LONG = "1" * 5_000  # more digits than the interpreter converts to an int
+
+# A literal too long to convert, in a file or in ``--expr``: (the file's text
+# or None, the literal's position).
+LONG_LITERALS = {
+    "eval-pragma": (f"#eval {LONG}\n", "1:7"),
+    "universe-level": (f"#check Type {LONG} : Type 0\n", "1:13"),
+    "eval-expr": (None, "1:1"),
+}
+
+
+@pytest.mark.parametrize("case", LONG_LITERALS)
+def test_long_literal_is_a_parse_error(tmp_path, case):
+    text, position = LONG_LITERALS[case]
+    if text is None:
+        proc = run("eval", "--expr", LONG)
+    else:
+        (tmp_path / "long.hott").write_text(text)
+        proc = run("check", str(tmp_path / "long.hott"))
+    expected = f"error: {position}: numeric literal of 5000 digits is too long\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", expected)
+
+
 def test_eval_non_nat_normal_form():
     proc = run("eval", "--expr", "pred-Z zero-Z", *STDLIB)
     assert proc.returncode == 0
