@@ -26,7 +26,10 @@ Items are timed at ``loader.execute``, as ``perfbench/drive.py``'s
 output and take the same reduction steps on every item.  Then it prints
 the median import time over rounds and, per workload, the median verdict
 time over rounds, and item p50 and p90, the deciles over items of each
-item's median time, each with its new/old ratio.  The workloads of both
+item's median time, each with its new/old ratio and ``wins k/N``: in how
+many of the N rounds the new tree's figure for that round was lower.  On
+a shared host a median ratio within about 30% of 1 can be noise; a win
+count near N/2 says it is.  The workloads of both
 trees share one process, so drift in the host's speed hits both alike; the
 absolute times are not ``perfbench``'s, which starts a fresh interpreter
 per pass.
@@ -163,6 +166,20 @@ def summary(tree: Tree, workload: str) -> tuple[float, float, float]:
     return statistics.median(verdicts), deciles[4], deciles[8]
 
 
+def per_round(tree: Tree, workload: str) -> list[tuple[float, float, float]]:
+    """Each round's verdict, and item p50 and p90 over that round's items."""
+    verdicts, rounds = tree.times[workload]
+    deciles = [statistics.quantiles(ms, n=10) for ms in rounds]
+    return [(verdict, d[4], d[8]) for verdict, d in zip(verdicts, deciles)]
+
+
+def row(workload: str, name: str, a: float, b: float, old_rounds, new_rounds) -> str:
+    """One figure of both trees: the medians, their ratio, and the rounds the new tree won."""
+    wins = sum(new < old for old, new in zip(old_rounds, new_rounds))
+    return (f"  {workload:6} {name:11}  old {a:9.4f}  new {b:9.4f}  new/old {b / a:.3f}"
+            f"  wins {wins}/{len(old_rounds)}")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev")
@@ -195,12 +212,13 @@ def main(argv: list[str]) -> int:
             print(f"{key} differs between {args.rev} and the working tree")
             return 1
     print(f"{args.rounds} rounds, outputs and steps identical; old = {args.rev}, new = working tree")
-    a, b = statistics.median(old.imports), statistics.median(new.imports)
-    print(f"  {'setup':6} {'import_s':11}  old {a:9.4f}  new {b:9.4f}  new/old {b / a:.3f}")
+    print(row("setup", "import_s", statistics.median(old.imports), statistics.median(new.imports),
+              old.imports, new.imports))
     for workload in old.times:
-        rows = zip(("verdict_s", "item_ms.p50", "item_ms.p90"), summary(old, workload), summary(new, workload))
-        for name, a, b in rows:
-            print(f"  {workload:6} {name:11}  old {a:9.4f}  new {b:9.4f}  new/old {b / a:.3f}")
+        rows = zip(("verdict_s", "item_ms.p50", "item_ms.p90"), summary(old, workload), summary(new, workload),
+                   zip(*per_round(old, workload)), zip(*per_round(new, workload)))
+        for name, a, b, old_rounds, new_rounds in rows:
+            print(row(workload, name, a, b, old_rounds, new_rounds))
     return 0
 
 

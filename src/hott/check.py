@@ -89,6 +89,7 @@ from .terms import (
     Var,
     W,
     Zero,
+    at,
     instantiate,
     shift,
     spine,
@@ -119,38 +120,32 @@ def _premise(rule: str, prefix: Optional[str], ctx: Context) -> Iterator[None]:
         raise CheckError(rule, prefix + e.message, found=e.found, expected=e.expected, context=ctx)
 
 
-def _at(motive: Term, k: int, ctor: Term) -> Term:
-    """``motive`` (binding the scrutinee) at ``ctor``, under ``k`` new
-    binders that ``ctor`` may refer to."""
-    return subst(shift(motive, 1, k), 0, ctor)
-
-
 ELIM: dict[type, tuple] = {
     IndNat: ("Nat-ind", NAT, (
-        ("base", "base case: ", lambda m, s: _at(m, 0, ZERO)),
+        ("base", "base case: ", lambda m, s: at(m, 0, ZERO)),
         # (k : Nat) -> motive[k] -> motive[succ k]
-        ("step", "inductive step: ", lambda m, s: Pi(NAT, Pi(m, _at(m, 2, Succ(Var(1)))))),
+        ("step", "inductive step: ", lambda m, s: Pi(NAT, Pi(m, at(m, 2, Succ(Var(1)))))),
     )),
     IndSigma: ("Sigma-ind", (Sigma, "a pair type"), (
         # (x : A) -> (y : B x) -> motive[pair x y]
-        ("step", None, lambda m, s: Pi(s.first, Pi(s.second, _at(m, 2, Pair(Var(1), Var(0)))))),
+        ("step", None, lambda m, s: Pi(s.first, Pi(s.second, at(m, 2, Pair(Var(1), Var(0)))))),
     )),
     # Unit-ind and Empty-ind never surface: no former check, no re-wrapped method.
-    IndUnit: ("Unit-ind", UNIT, (("point", None, lambda m, s: _at(m, 0, STAR)),)),
+    IndUnit: ("Unit-ind", UNIT, (("point", None, lambda m, s: at(m, 0, STAR)),)),
     IndEmpty: ("Empty-ind", EMPTY, ()),
     IndCoprod: ("Coprod-ind", (Coprod, "a coproduct"), (
-        ("on_left", "branch: ", lambda m, s: Pi(s.left, _at(m, 1, Inl(Var(0))))),
-        ("on_right", "branch: ", lambda m, s: Pi(s.right, _at(m, 1, Inr(Var(0))))),
+        ("on_left", "branch: ", lambda m, s: Pi(s.left, at(m, 1, Inl(Var(0))))),
+        ("on_right", "branch: ", lambda m, s: Pi(s.right, at(m, 1, Inr(Var(0))))),
     )),
     IndW: ("W-ind", (W, "a tree type"), (
         # (x : A) -> (c : B x -> W A B) -> ((y : B x) -> motive[c y]) -> motive[tree x c]
         ("step", "inductive step: ", lambda m, s: Pi(s.shapes, Pi(
             Pi(s.arities, shift(s, 0, 2)),
-            Pi(Pi(shift(s.arities, 0, 1), _at(m, 3, App(Var(1), Var(0)))), _at(m, 3, Tree(Var(2), Var(1)))),
+            Pi(Pi(shift(s.arities, 0, 1), at(m, 3, App(Var(1), Var(0)))), at(m, 3, Tree(Var(2), Var(1)))),
         ))),
     )),
     IndTrunc: ("Trunc-ind", (Trunc, "a truncation"), (
-        ("point", "", lambda m, s: Pi(s.type, _at(m, 1, TruncIn(Var(0))))),
+        ("point", "", lambda m, s: Pi(s.type, at(m, 1, TruncIn(Var(0))))),
         # (s : Trunc A) -> (u v : motive[s]) -> Id (motive[s]) u v, i.e. the
         # motive is a family of propositions; this is equivalent to the
         # transport condition of the induction principle.

@@ -74,25 +74,27 @@ def _unfold(sig: Signature, t: Term) -> Term | None:
 
 
 # Eliminator -> (scrutinee field, constructor -> contraction).  A contraction
-# maps the eliminator and its scrutinee in whnf to the reduct's head and then
-# its arguments, for ``whnf``'s stack.  ``IndEmpty`` has no constructor: no rule.
-# ``IndW``'s tree maps to a rule, not a contraction: it waits for its components'
-# lambda, whose domain annotates the recursive branch, and contracts with the tree.
+# maps the eliminator and its scrutinee in whnf to ``(head, pushed)``: the
+# reduct's head and a tuple of its arguments in stack order (the last argument
+# first), which ``whnf`` pushes as it is.  ``IndEmpty`` has no constructor: no
+# rule.  ``IndW``'s tree maps to a rule, not a contraction: it waits for its
+# components' lambda, whose domain annotates the recursive branch, and
+# contracts with the tree.
 IOTA: dict[type, tuple[str, dict[type, Callable | tuple]]] = {
     IndNat: ("scrutinee", {
-        Zero: lambda t, s: (t.base,),
-        Succ: lambda t, s: (t.step, s.pred, IndNat(t.motive, t.base, t.step, s.pred)),
+        Zero: lambda t, s: (t.base, ()),
+        Succ: lambda t, s: (t.step, (IndNat(t.motive, t.base, t.step, s.pred), s.pred)),
     }),
-    IndSigma: ("scrutinee", {Pair: lambda t, s: (t.step, s.fst, s.snd)}),
-    IndUnit: ("scrutinee", {Star: lambda t, s: (t.point,)}),
+    IndSigma: ("scrutinee", {Pair: lambda t, s: (t.step, (s.snd, s.fst))}),
+    IndUnit: ("scrutinee", {Star: lambda t, s: (t.point, ())}),
     IndCoprod: ("scrutinee", {
-        Inl: lambda t, s: (t.on_left, s.value),
-        Inr: lambda t, s: (t.on_right, s.value),
+        Inl: lambda t, s: (t.on_left, (s.value,)),
+        Inr: lambda t, s: (t.on_right, (s.value,)),
     }),
-    IndEq: ("path", {Refl: lambda t, s: (t.center,)}),
-    IndTrunc: ("scrutinee", {TruncIn: lambda t, s: (t.point, s.value)}),
-    IndW: ("scrutinee", {Tree: ("components", {Lambda: lambda t, s, c: (t.step, s.shape, c, Lambda(
-        c.domain, IndW(shift(t.motive, 1, 1), shift(t.step, 0, 1), App(shift(c, 0, 1), Var(0)))))})}),
+    IndEq: ("path", {Refl: lambda t, s: (t.center, ())}),
+    IndTrunc: ("scrutinee", {TruncIn: lambda t, s: (t.point, (s.value,))}),
+    IndW: ("scrutinee", {Tree: ("components", {Lambda: lambda t, s, c: (t.step, (Lambda(
+        c.domain, IndW(shift(t.motive, 1, 1), shift(t.step, 0, 1), App(shift(c, 0, 1), Var(0)))), c, s.shape))})}),
 }
 
 
@@ -100,52 +102,57 @@ def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False)
     """Weak head normal form, ``t`` itself when no step is taken.
 
     One loop over one stack: the spine's arguments (the next one last) above
-    frames, each an eliminator waiting for its scrutinee's head.  A lambda
-    head takes arguments one tick each, in one substitution; a head with no
-    arguments above the top frame contracts through that frame's table.  A
-    defined constant unfolds if something waits on it or ``unfold`` is set;
-    ``conv`` leaves it unset, to compare equal names before unfolding.  Any
-    other head is stuck, and so is every waiting eliminator: each is rebuilt
-    around the term reached, or is itself if its wait took no step.
+    frames, each an eliminator waiting for its scrutinee's head.  Each turn
+    reads the head's former once and tests, in order: a spine, whose
+    arguments it pushes; a lambda with arguments, which takes them one tick
+    each, in one substitution; an eliminator, which waits in a new frame; a
+    head with no arguments above the top frame, which contracts through that
+    frame's table; a defined constant, which unfolds if something waits on it
+    or ``unfold`` is set (``conv`` leaves it unset, to compare equal names
+    before unfolding).  Any other head is stuck, and so is every waiting
+    eliminator: each is rebuilt around the term reached, or is itself if its
+    wait took no step.
     """
-    start, steps, args = t, budget.steps_used, []
+    start, steps, args, tick = t, budget.steps_used, [], budget.tick
     frames = None  # or (eliminator, rule, its arguments, steps when it began, the frame below)
     while True:
-        while isinstance(t, App):
+        cls = type(t)
+        while cls is App:
             args.append(t.arg)
             t = t.fn
-        if isinstance(t, Lambda) and args:
+            cls = type(t)
+        if cls is Lambda and args:
             taken = []
-            while isinstance(t, Lambda) and args:
-                budget.tick()
+            while type(t) is Lambda and args:
+                tick()
                 taken.append(args.pop())
                 t = t.body
             t = instantiate(t, taken)
             continue
-        rule = IOTA.get(type(t))
-        if frames and rule is None and not args:
-            contract = frames[1][1].get(type(t))  # through the top frame's table
-            if type(contract) is tuple:  # IndW's tree: its components are waited for next
-                rule = contract
-            elif contract is not None:
-                budget.tick()
+        rule = IOTA.get(cls)
+        if rule is None and frames is not None and not args:
+            rule = frames[1][1].get(cls)  # from the top frame's table: a contraction, or IndW's tree's rule
+            if rule is not None and type(rule) is not tuple:
+                tick()
                 elim, _, args, _, frames = frames
                 if type(elim) in IOTA:
-                    t, *pushed = contract(elim, t)
+                    t, pushed = rule(elim, t)
                 else:  # the tree, with IndW waiting below it
                     w, _, args, _, frames = frames
-                    t, *pushed = contract(w, elim, t)
-                args.extend(reversed(pushed))
+                    t, pushed = rule(w, elim, t)
+                args += pushed
                 continue
         if rule is not None:
             frames = (t, rule, args, budget.steps_used, frames)
             t, args = getattr(t, rule[0]), []
             continue
-        body = _unfold(sig, t) if unfold or args or frames else None
-        if body is None:
+        if cls is not Const or not (unfold or args or frames):
             break
-        budget.tick()
-        t = body
+        decl = sig.lookup(t.name)
+        if decl is None or decl.body is None:
+            break
+        tick()
+        t = decl.body
 
     if budget.steps_used == steps:
         return start
@@ -165,18 +172,19 @@ def normalize(sig: Signature, t: Term, budget: ReductionBudget) -> Term:
     and on an application's spine (the head first, then the arguments in order)."""
     chain, apps = [], []
     t = whnf(sig, t, budget, unfold=True)
-    while isinstance(t, Succ):
+    while type(t) is Succ:
         chain.append(t)
         t = whnf(sig, t.pred, budget, unfold=True)
-    while isinstance(t, App):  # a neutral spine: its head is stuck
+    while type(t) is App:  # a neutral spine: its head is stuck
         apps.append(t)
         t = t.fn
     if type(t).BINDERS:
         t = rebuild(t, [normalize(sig, sub, budget) for sub, _ in subterms(t)])
     for app in reversed(apps):
-        t = rebuild(app, [t, normalize(sig, app.arg, budget)])
+        arg = normalize(sig, app.arg, budget)
+        t = app if app.fn is t and app.arg is arg else App(t, arg)
     for succ in reversed(chain):
-        t = rebuild(succ, [t])
+        t = succ if succ.pred is t else Succ(t)
     return t
 
 

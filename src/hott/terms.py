@@ -2,8 +2,11 @@
 
 Every binder is positional: a subterm that "binds one variable" sees the
 bound variable as index 0, with all enclosing indices shifted up by one.
-The index-manipulation calculus (shift/subst/instantiate) lives here;
-evaluation and type checking are built on top of it.
+The index-manipulation calculus (shift/subst/instantiate/at) lives here,
+as one walker that maps each variable itself: an index in the substituted
+range becomes its argument, shifted over the binders it crossed, and any
+other index moves by one fixed amount.  Evaluation and type checking are
+built on top of it.
 
 Nodes are slotted and frozen, and compare, hash and print as frozen
 dataclasses do, but are none: one generator, ``Term.__init_subclass__``,
@@ -17,7 +20,7 @@ outside the fields, so ``==``, ``hash`` and ``repr`` ignore it.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
-from typing import ClassVar, Iterable, Iterator, Optional
+from typing import ClassVar, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_MAX_STEPS = 10_000_000
 
@@ -287,30 +290,38 @@ def loose(t: Term) -> int:
     return t._loose
 
 
-def _map_vars(t: Term, cutoff: int, depth: int, on_var) -> Term:
-    """``on_var`` applied to each index >= ``cutoff`` outside ``t``, which has
-    one; a child with none is shared, and a chain of ``fn`` or ``pred`` (an
-    application's spine, a numeral) is walked in a loop."""
+def _map_vars(t: Term, cutoff: int, depth: int, args: Sequence[Term], amount: int) -> Term:
+    """Map each index ``i`` >= ``cutoff`` outside ``t``, which has one, under
+    ``depth`` binders: ``i - cutoff - depth`` < ``len(args)`` counts from the
+    last argument, taken as it is when closed, else shifted over ``depth``;
+    any other ``i`` becomes ``i + amount``.  A child with no such index is
+    shared, and a chain of ``fn`` or ``pred`` (an application's spine, a
+    numeral) is walked in a loop."""
     if type(t) is Var:
-        return on_var(t, depth)
+        i = t.index - cutoff - depth
+        if i < len(args):
+            a = args[-1 - i]
+            return _map_vars(a, 0, 0, (), depth) if depth and a._loose else a
+        if t.index + amount < 0:
+            raise KernelBug(f"index underflow shifting {t.index} by {amount}")
+        return Var(t.index + amount)
     bound, chain = cutoff + depth, []
     while type(t) in (App, Succ) and t._loose > bound:
         chain.append(t)
         t = t.fn if type(t) is App else t.pred
     if chain:
-        t = t if t._loose <= bound else _map_vars(t, cutoff, depth, on_var)
+        t = t if t._loose <= bound else _map_vars(t, cutoff, depth, args, amount)
         for u in reversed(chain):
-            a = u.arg if type(u) is App else None
-            if a is not None and a._loose > bound:
-                a = on_var(a, depth) if type(a) is Var else _map_vars(a, cutoff, depth, on_var)
-            t = Succ(t) if a is None else App(t, a)
+            if type(u) is Succ:
+                t = Succ(t)
+                continue
+            a = u.arg
+            t = App(t, a if a._loose <= bound else _map_vars(a, cutoff, depth, args, amount))
         return t
     children = []
     for name, k in t.FIELDS:
         sub = getattr(t, name)
-        if sub._loose > bound + k:
-            sub = on_var(sub, depth + k) if type(sub) is Var else _map_vars(sub, cutoff, depth + k, on_var)
-        children.append(sub)
+        children.append(sub if sub._loose <= bound + k else _map_vars(sub, cutoff, depth + k, args, amount))
     return type(t)(*children)
 
 
@@ -320,34 +331,20 @@ def shift(t: Term, cutoff: int, amount: int) -> Term:
     Negative amounts are permitted only when no index would underflow;
     underflow indicates a kernel bug, not bad user input.
     """
-    if amount == 0 or t._loose <= cutoff:
-        return t
-
-    def on_var(v: Var, depth: int) -> Term:
-        new = v.index + amount
-        if new < 0:
-            raise KernelBug(f"index underflow shifting {v.index} by {amount}")
-        return Var(new)
-
-    return _map_vars(t, cutoff, 0, on_var)
+    return t if amount == 0 or t._loose <= cutoff else _map_vars(t, cutoff, 0, (), amount)
 
 
 def instantiate(t: Term, args: list[Term], j: int = 0) -> Term:
     """Replace indices ``j`` .. ``j + len(args) - 1`` by ``args``, the last
     argument binding ``j`` (a body under ``len(args)`` binders applied to them
     at once), and close the gap above them."""
-    n = len(args)
-    if not n or t._loose <= j:
-        return t
+    return t if not args or t._loose <= j else _map_vars(t, j, 0, args, -len(args))
 
-    def on_var(v: Var, depth: int) -> Term:
-        i = v.index - depth - j
-        if i >= n:
-            return Var(v.index - n)
-        a = args[-1 - i]
-        return shift(a, 0, depth) if depth and a._loose else a
 
-    return _map_vars(t, j, 0, on_var)
+def at(motive: Term, k: int, s: Term) -> Term:
+    """``motive`` (binding index 0) at ``s``, under ``k`` new binders that ``s``
+    may refer to: ``subst(shift(motive, 1, k), 0, s)`` in one walk."""
+    return motive if not motive._loose else _map_vars(motive, 0, 0, (s,), k - 1)
 
 
 def subst(t: Term, j: int, s: Term) -> Term:

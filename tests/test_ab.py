@@ -1,9 +1,10 @@
 """Smoke test of ``scripts/ab.py``: one round against ``HEAD`` finds the same
 outputs and steps in both trees and reports the import time and every
-workload."""
+workload, each with the rounds the new tree won."""
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 
@@ -23,3 +24,4 @@ def test_one_round_against_head_reports_every_workload():
     assert header.startswith("1 rounds, outputs and steps identical")
     assert {row.split()[0] for row in rows} == {"setup", "stdlib", "eval", "bulk"}
     assert len(rows) == 10  # import_s, then verdict_s, item_ms.p50 and item_ms.p90 per workload
+    assert all(re.search(r"  new/old \d+\.\d{3}  wins [01]/1$", row) for row in rows), rows

@@ -2,8 +2,9 @@
 
 Covers: population size, conversion as an equivalence relation and a
 congruence, soundness of whnf, idempotence of normalize, subject
-reduction, weakening and substitution soundness, and the
-substitution-cancels-weakening identity on random scoped terms.
+reduction, weakening and substitution soundness, the
+substitution-cancels-weakening identity on random scoped terms, and
+``at`` against the shift and substitution it fuses.
 """
 
 from __future__ import annotations
@@ -23,18 +24,25 @@ from hott.terms import (
     EMPTY_CONTEXT,
     EMPTY_SIGNATURE,
     NAT,
+    STAR,
     UNIT,
     ZERO,
     App,
     IndNat,
     Inl,
+    Inr,
     Lambda,
     Pair,
     Succ,
+    Tree,
+    TruncIn,
     Var,
+    at,
+    loose,
     numeral,
     shift,
     subst,
+    subterms,
     well_scoped,
 )
 
@@ -182,6 +190,36 @@ def test_subst_cancels_shift_on_random_terms():
         s = random_scoped_term(rng, depth, 5)
         assert well_scoped(t, depth)
         assert subst(shift(t, 0, 1), 0, s) == t
+
+
+# The constructors ``check.ELIM`` puts in a motive, each over the new
+# binders of its method's type.
+MOTIVE_CONSTRUCTORS = (ZERO, STAR, Succ(Var(1)), Pair(Var(1), Var(0)), Inl(Var(0)), Inr(Var(0)),
+                       App(Var(1), Var(0)), Tree(Var(2), Var(1)), TruncIn(Var(0)))
+
+
+def _with_subterms(population):
+    """Every term and type of the population with all their subterms, the
+    open ones under a binder included."""
+    seen, stack = set(), [t for pair in population for t in pair]
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            stack.extend(sub for sub, _ in subterms(t))
+    return seen
+
+
+def test_at_is_shift_then_subst(population):
+    # ``at`` fuses the two walks the typing rules made over a motive
+    rng = random.Random(2024)
+    terms = [*_with_subterms(population),
+             *(random_scoped_term(rng, rng.randrange(1, 4), rng.randrange(2, 20)) for _ in range(500))]
+    assert sum(loose(t) > 0 for t in terms) > 250
+    for t in terms:
+        for k in range(4):
+            for ctor in MOTIVE_CONSTRUCTORS:
+                assert at(t, k, ctor) == subst(shift(t, 1, k), 0, ctor), (t, k, ctor)
 
 
 def test_congruence(population, normal_forms):

@@ -273,6 +273,29 @@ def test_check_steps_are_pinned(stdlib_sig, name, steps):
     assert budget.steps_used == steps
 
 
+def test_every_step_ticks_the_budget(stdlib_sig, monkeypatch):
+    """No reduction step bypasses ``ReductionBudget.tick``, where the
+    benchmark's traced run counts steps: ticks and ``steps_used`` agree on a
+    pinned ``#eval`` and a pinned declaration."""
+    ticks, tick = [0], ReductionBudget.tick
+
+    def counted(self):
+        ticks[0] += 1
+        tick(self)
+
+    monkeypatch.setattr(ReductionBudget, "tick", counted)
+    term = resolve_expr(parse_expression("exp 2 10"), [], stdlib_sig)
+    budget = ReductionBudget()
+    infer(stdlib_sig, EMPTY_CONTEXT, term, budget)
+    normalize(stdlib_sig, term, budget)
+    assert budget.steps_used == ticks[0] == 53_230
+    decls, ticks[0] = stdlib_sig.declarations, 0
+    i = next(i for i, decl in enumerate(decls) if decl.name == "pair-eq-sec")
+    budget = ReductionBudget()
+    check_declaration(Signature(decls[:i]), decls[i], budget)
+    assert budget.steps_used == ticks[0] == CHECK_STEPS["pair-eq-sec"]
+
+
 def _one_argument_at_a_time(sig, ctx, t, budget):
     """The application rule as the theory states it, ``f a : B[a/x]``: the
     head's type in whnf for each argument, and one substitution each."""
