@@ -33,7 +33,9 @@ used.  The families:
   ladder: ``normalize`` and ``whnf`` with ``unfold`` of ten arithmetic
   spines at every ``max_steps`` from 0 to the steps each takes, so that
   every point where a budget runs out is compared.
-- ``fail``: ``fail_outcomes`` on each ``tests/negative/`` file.
+- ``fail``: each ``tests/negative/`` file over the stdlib, its other
+  items run with ``execute``: for each ``#fail`` item, the rule that
+  ``attempt_item`` reports for the item it wraps.
 - ``bulk``: ``hott check --trace`` on the benchmark's seed-7 library of
   5,000 small items, from ``perfbench/corpus.py``: one probe per line of
   stdout and stderr (times masked), and one for the exit code.
@@ -438,14 +440,18 @@ def reduce_probes() -> Iterator[Probe]:
 
 
 def fail_probes() -> Iterator[Probe]:
-    from hott.loader import fail_outcomes
-    from hott.parser import parse
+    from hott.loader import ProcessOptions, attempt_item, execute, resolve
+    from hott.parser import PragmaFail, parse
 
-    sig = _stdlib_signature()
+    stdlib, opts = _stdlib_signature(), ProcessOptions(out=lambda line: None)
     for path in _negatives():
+        sig = stdlib
         module = parse(path.read_text(encoding="utf-8"), path.name)
-        for item, rule in fail_outcomes(sig, module):
-            yield f"fail {path.name}:{item.span[0]}", str(rule)
+        for item in resolve(module, sig):
+            if isinstance(item, PragmaFail):
+                yield f"fail {path.name}:{item.span[0]}", str(attempt_item(sig, item.item, opts))
+            else:
+                sig = execute(sig, item, opts)
 
 
 def bulk_probes() -> Iterator[Probe]:

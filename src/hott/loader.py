@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 from .check import CheckError, check, check_declaration, infer, infer_universe
 from .parser import (
+    ITEMS,
     DefItem,
     PostulateItem,
     PragmaAssert,
@@ -140,14 +141,16 @@ def attempt_item(sig: Signature, item: SurfaceItem, opts: ProcessOptions) -> Opt
     return None
 
 
+# (item class, the ``equal`` its directive sets) -> the directive.
+_DIRECTIVES = {(cls, fields.get("equal")): directive for directive, (cls, _, fields) in ITEMS.items()}
+
+
 def _label(item: SurfaceItem) -> str:
     """How ``--trace`` names an item: a declaration by its name, a pragma
     by its directive."""
     if isinstance(item, (DefItem, PostulateItem)):
         return item.name
-    if isinstance(item, PragmaAssert):
-        return "#assert-eq" if item.equal else "#assert-neq"
-    return {PragmaCheck: "#check", PragmaEval: "#eval", PragmaFail: "#fail"}[type(item)]
+    return _DIRECTIVES[type(item), getattr(item, "equal", None)]
 
 
 def process_module(
@@ -169,18 +172,3 @@ def process_module(
             opts.trace(f"{module.path}:{item.span[0]}: {_label(item)} ok ({elapsed:.1f} ms)")
     return sig
 
-
-def fail_outcomes(
-    sig: Signature, module: SurfaceModule, opts: Optional[ProcessOptions] = None
-) -> list[tuple[SurfaceItem, Optional[str]]]:
-    """For inspection by tests: run a module and report, for each #fail
-    item, the rule it was rejected with (None when it was accepted)."""
-    opts = opts or ProcessOptions()
-    outcomes: list[tuple[SurfaceItem, Optional[str]]] = []
-    for item in module.items:
-        if isinstance(item, PragmaFail):
-            outcomes.append((item, attempt_item(sig, item.item, opts)))
-        else:
-            single = SurfaceModule((item,), module.path)
-            sig = process_module(sig, single, opts)
-    return outcomes

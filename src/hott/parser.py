@@ -3,9 +3,11 @@
 The grammar is ASCII-only.  Line comments run from ``--`` to end of line.
 ``_LEXEME`` is the one statement of the lexical grammar; ``tokenize``
 only reads its matches.
-``CONSTANTS`` and ``FORMS`` are the one place a keyword former is spelled:
-lexing, parsing and printing (``pretty``) all read them.  A keyword former
-takes its fields in order, as atoms; eliminators take the motive first.
+``CONSTANTS`` and ``FORMS`` are the one place a keyword former is spelled,
+and ``ITEMS`` the one place an item's directive and grammar are: lexing,
+parsing and printing (``pretty``, ``--trace`` labels) all read them.
+A keyword former takes its fields in order, as atoms; eliminators take
+the motive first.
 A field that binds ``k`` variables is written as a ``k``-argument
 function; the parser reads it under ``k`` unnamed binders and applies it
 to those variables (``Parser.parse_binding``).  Numerals desugar to
@@ -116,10 +118,6 @@ FORM_FIELDS = {
     head: tuple((f, dict(cls.FIELDS)[f]) for f in fields)
     for head, (cls, fields) in FORMS.items()
 }
-
-KEYWORDS = {"def", "postulate", "in", "Sig", "Type", *CONSTANTS, *FORMS}
-
-DIRECTIVES = {"#check", "#eval", "#assert-eq", "#assert-neq", "#fail"}
 
 PUNCT = [":=", "==", "->", "(", ")", ":", ".", ",", "\\", "+", "="]
 
@@ -233,6 +231,31 @@ class PragmaFail(SurfaceItem):
     item: SurfaceItem
 
 
+# Directive -> its item class, what follows the directive in order, and
+# the fields the directive itself sets.  ``name`` reads an identifier,
+# ``item`` a nested item and any other field of the class an expression;
+# anything else is that token.
+ITEMS: dict[str, tuple[type[SurfaceItem], tuple[str, ...], dict[str, bool]]] = {
+    "def": (DefItem, ("name", ":", "type", ":=", "body"), {}),
+    "postulate": (PostulateItem, ("name", ":", "type"), {}),
+    "#check": (PragmaCheck, ("expr", ":", "type"), {}),
+    "#eval": (PragmaEval, ("expr",), {}),
+    "#assert-eq": (PragmaAssert, ("lhs", "==", "rhs", ":", "type"), {"equal": True}),
+    "#assert-neq": (PragmaAssert, ("lhs", "==", "rhs", ":", "type"), {"equal": False}),
+    "#fail": (PragmaFail, ("item",), {}),
+}
+
+# ``ITEMS`` with each part classified once: "name", "item", "expr" or "token".
+_ITEM_GRAMMAR = {
+    directive: (cls, fields, tuple(
+        (part if part in ("name", "item") else "expr" if part in cls.__match_args__ else "token", part)
+        for part in parts))
+    for directive, (cls, parts, fields) in ITEMS.items()
+}
+DIRECTIVES = {directive for directive in ITEMS if directive.startswith("#")}
+KEYWORDS = {"in", "Sig", "Type", *CONSTANTS, *FORMS, *(ITEMS.keys() - DIRECTIVES)}
+
+
 @dataclass(frozen=True)
 class SurfaceModule:
     items: tuple[SurfaceItem, ...]
@@ -288,44 +311,21 @@ class Parser:
 
     def parse_item(self) -> SurfaceItem:
         tok = self.peek()
-        if tok.kind == "def":
-            self.next()
-            name = self.expect("ident")
-            self.expect(":")
-            ty = self.expression()
-            self.expect(":=")
-            body = self.expression()
-            return DefItem(tok.span, name.text, ty, body)
-        if tok.kind == "postulate":
-            self.next()
-            name = self.expect("ident")
-            self.expect(":")
-            ty = self.expression()
-            return PostulateItem(tok.span, name.text, ty)
-        if tok.kind == "#check":
-            self.next()
-            e = self.expression()
-            self.expect(":")
-            ty = self.expression()
-            return PragmaCheck(tok.span, e, ty)
-        if tok.kind == "#eval":
-            self.next()
-            return PragmaEval(tok.span, self.expression())
-        if tok.kind in ("#assert-eq", "#assert-neq"):
-            self.next()
-            lhs = self.expression()
-            self.expect("==")
-            rhs = self.expression()
-            self.expect(":")
-            ty = self.expression()
-            return PragmaAssert(tok.span, tok.kind == "#assert-eq", lhs, rhs, ty)
-        if tok.kind == "#fail":
-            self.next()
-            return PragmaFail(tok.span, self.parse_item())
-        raise ParseError(
-            f"unexpected {tok.text!r}", tok.span,
-            {"def", "postulate", "#check", "#eval", "#assert-eq", "#assert-neq", "#fail"},
-        )
+        if tok.kind not in _ITEM_GRAMMAR:
+            raise ParseError(f"unexpected {tok.text!r}", tok.span, set(ITEMS))
+        self.next()
+        cls, preset, parts = _ITEM_GRAMMAR[tok.kind]
+        fields = dict(preset)
+        for kind, part in parts:
+            if kind == "token":
+                self.expect(part)
+            elif kind == "expr":
+                fields[part] = self.expression()
+            elif kind == "name":
+                fields[part] = self.expect("ident").text
+            else:
+                fields[part] = self.parse_item()
+        return cls(tok.span, **fields)
 
     # -- expressions ----------------------------------------------------------
 

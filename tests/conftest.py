@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,19 @@ def load_stdlib(collect_output: list[str] | None = None) -> Signature:
     for path in stdlib_paths():
         sig = process_module(sig, parse(path.read_text(), path.name), opts)
     return sig
+
+
+REJECTED = re.compile(r"#fail: rejected as expected \[(.*)\]")
+
+
+def fail_rules(path: Path) -> dict[int, str]:
+    """``hott check --trace`` of one file: the line of each ``#fail`` item
+    -> the rule it was rejected with, which the trace reports just before
+    the item's own line.  An accepted ``#fail`` raises ``FailExpected``."""
+    lines: list[str] = []
+    process_module(EMPTY_SIGNATURE, parse(path.read_text(), path.name), ProcessOptions(trace=lines.append))
+    return {int(after.split(":")[1]): m[1] for line, after in zip(lines, lines[1:])
+            if (m := REJECTED.fullmatch(line))}
 
 
 @pytest.fixture(scope="session")

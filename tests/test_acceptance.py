@@ -16,11 +16,10 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
-from conftest import ROOT, STDLIB, load_stdlib, stdlib_paths  # noqa: E402
+from conftest import ROOT, STDLIB, fail_rules, load_stdlib, stdlib_paths  # noqa: E402
 from enumeration import Enumerator, random_scoped_term, synthesizing  # noqa: E402
 
 from hott.check import check, infer, infer_universe
-from hott.loader import fail_outcomes
 from hott.parser import PragmaFail, parse, parse_expression, resolve_expr
 from hott.reduce import ReductionBudget, conv, normalize, whnf
 from hott.terms import (
@@ -138,11 +137,11 @@ def test_criterion_4_negative_corpus():
     total = 0
     for path in sorted(NEGATIVE.glob("*.hott")):
         module = parse(path.read_text(), path.name)
-        outcomes = fail_outcomes(EMPTY_SIGNATURE, module)
-        fails = [o for o in outcomes if isinstance(o[0], PragmaFail)]
-        for item, rule in outcomes:
-            assert rule is not None, f"{path.name}:{item.span[0]} accepted"
-        total += len(outcomes)
+        fails = [item.span[0] for item in module.items if isinstance(item, PragmaFail)]
+        rules = fail_rules(path)
+        for line in fails:
+            assert rules.get(line) is not None, f"{path.name}:{line} accepted"
+        total += len(rules)
         proc = _cli("check", str(path))
         assert proc.returncode == 0
     assert total >= 12

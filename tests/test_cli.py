@@ -248,6 +248,19 @@ def test_trace_goes_to_stderr():
     assert re.search(r"prelude\.hott:5: id ok \(", proc.stderr)
 
 
+def test_trace_names_each_fail_rule_before_its_item(tmp_path):
+    src = tmp_path / "fails.hott"
+    src.write_text("#fail def bad : Nat := star\n\n#fail #eval missing\n")
+    proc = run("check", "--trace", str(src))
+    assert (proc.returncode, proc.stdout) == (0, "")
+    assert re.sub(r"\(\d+\.\d ms\)", "(… ms)", proc.stderr).splitlines() == [
+        "#fail: rejected as expected [type-mismatch]",
+        f"{src}:1: #fail ok (… ms)",
+        "#fail: rejected as expected [unbound-identifier]",
+        f"{src}:3: #fail ok (… ms)",
+    ]
+
+
 def assert_one_error_line(stderr: str) -> None:
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), stderr

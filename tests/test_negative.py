@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import pytest
-from conftest import ROOT
+from conftest import ROOT, fail_rules
 
 from hott.check import CheckError
-from hott.loader import ProcessOptions, fail_outcomes, process_module
+from hott.loader import ProcessOptions, attempt_item, process_module
 from hott.parser import PragmaFail, SurfaceModule, parse
 from hott.terms import EMPTY_SIGNATURE
 
@@ -58,9 +58,8 @@ EXPECTED_PREFIXES = {
 def outcomes():
     result = {}
     for path in sorted(NEGATIVE.glob("*.hott")):
-        module = parse(path.read_text(), path.name)
-        for item, rule in fail_outcomes(EMPTY_SIGNATURE, module):
-            result[(path.name, item.span[0])] = rule
+        for line, rule in fail_rules(path).items():
+            result[(path.name, line)] = rule
     return result
 
 
@@ -109,6 +108,7 @@ def test_cli_accepts_negative_corpus(capsys):
 def test_nested_fail_inverts_twice_and_traces_nothing():
     module = parse("#fail #fail def bad : Nat := star\n#fail #fail def fine : Nat := zero\n")
     trace: list[str] = []
-    outcomes = fail_outcomes(EMPTY_SIGNATURE, module, ProcessOptions(trace=trace.append))
-    assert [rule for _, rule in outcomes] == [None, "fail-expected"]
+    opts = ProcessOptions(trace=trace.append)
+    # the wrapped items: `#fail def bad` holds, `#fail def fine` is rejected
+    assert [attempt_item(EMPTY_SIGNATURE, item.item, opts) for item in module.items] == [None, "fail-expected"]
     assert trace == []

@@ -8,14 +8,16 @@ import pytest
 
 from conftest import stdlib_paths
 
+from hott.loader import _label
 from hott.parser import (
     CONSTANTS,
     FORMS,
+    ITEMS,
     DefItem,
     LexError,
     ParseError,
+    Parser,
     PostulateItem,
-    PragmaAssert,
     ResolveError,
     parse,
     parse_expression,
@@ -104,20 +106,40 @@ def test_tokenize_spans():
     assert toks[-2].span == (2, 6)
 
 
-def test_parse_def_item():
-    mod = parse("def idN : Nat -> Nat := \\(x : Nat). x")
-    item = mod.items[0]
-    assert isinstance(item, DefItem) and item.name == "idN"
+# Directive -> a one-item text of it, which holds each token of the
+# directive's grammar once, and the item's ``--trace`` label.
+ITEM_TEXTS = {
+    "def": ("def idN : Nat -> Nat := succ", "idN"),
+    "postulate": ("postulate p : Nat", "p"),
+    "#check": ("#check zero : Nat", "#check"),
+    "#eval": ("#eval succ zero", "#eval"),
+    "#assert-eq": ("#assert-eq zero == zero : Nat", "#assert-eq"),
+    "#assert-neq": ("#assert-neq zero == 1 : Nat", "#assert-neq"),
+    "#fail": ("#fail #eval star", "#fail"),
+}
+
+
+@pytest.mark.parametrize("directive", sorted(ITEMS))
+def test_parse_item(directive):
+    text, label = ITEM_TEXTS[directive]
+    (item,) = parse(text).items
+    cls, parts, fields = ITEMS[directive]
+    assert type(item) is cls and all(getattr(item, f) == v for f, v in fields.items())
+    assert _label(item) == label
+    tokens = tokenize(text)
+    for part in parts:
+        if part in cls.__match_args__:
+            continue
+        # dropping the token is a parse error that expects it
+        (i,) = [i for i, tok in enumerate(tokens) if tok.kind == part]
+        with pytest.raises(ParseError) as e:
+            Parser(tokens[:i] + tokens[i + 1:]).parse_module()
+        assert e.value.expected == {part}, part
 
 
 def test_parse_requires_type_ascription():
     with pytest.raises(ParseError):
         parse("def x := 3")
-
-
-def test_parse_assert_eq():
-    mod = parse("#assert-eq zero == zero : Nat\n#assert-neq zero == 1 : Nat")
-    assert [(type(item), item.equal) for item in mod.items] == [(PragmaAssert, True), (PragmaAssert, False)]
 
 
 def resolve(src: str, names=frozenset()):
