@@ -21,15 +21,21 @@ alternating order:
   ``perfbench/corpus.py``'s seed-7 library of 5,000 small items, written
   into a temporary directory; its trace goes nowhere.
 
+Each round also runs each workload once more per tree, alone in a fresh
+interpreter, which reports its own peak memory: ``VmHWM`` of
+``/proc/self/status``.  That is the program's memory alone; ``perfbench``'s
+``peak_rss_mb`` reads ``ru_maxrss``, which also counts what its parent
+``run.py`` holds, and that grows with the number of passes it stores.
+
 Items are timed at ``loader.execute``, as ``perfbench/drive.py``'s
 ``ItemTimer`` times them.  It exits 1 unless both trees print the same
 output and take the same reduction steps on every item.  Then it prints
 the median import time over rounds and, per workload, the median verdict
-time over rounds, and item p50 and p90, the deciles over items of each
-item's median time, each with its new/old ratio and ``wins k/N``: in how
-many of the N rounds the new tree's figure for that round was lower.  On
-a shared host a median ratio within about 30% of 1 can be noise; a win
-count near N/2 says it is.  The workloads of both
+time over rounds, item p50 and p90, the deciles over items of each
+item's median time, and the median peak memory, each with its new/old
+ratio and ``wins k/N``: in how many of the N rounds the new tree's figure
+for that round was lower.  On a shared host a median ratio within about
+30% of 1 can be noise; a win count near N/2 says it is.  The workloads of both
 trees share one process, so drift in the host's speed hits both alike; the
 absolute times are not ``perfbench``'s, which starts a fresh interpreter
 per pass.
@@ -43,6 +49,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import re
 import statistics
 import subprocess
 import sys
@@ -80,6 +87,27 @@ def import_s(src: Path) -> float:
     return float(subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout)
 
 
+def peak_mb(src: Path, workload: str, paths: list[str]) -> float:
+    """Peak resident memory, in MB, of a fresh interpreter that runs ``workload``
+    once on the tree under ``src``."""
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import ab\n"
+            f"print(ab.run_alone({str(src)!r}, {workload!r}, {paths!r}))")
+    return float(subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout)
+
+
+def run_alone(src: str, workload: str, paths: list[str]) -> float:
+    """Run ``workload`` once on the tree under ``src``, in this interpreter, and
+    return its peak resident memory in MB: ``VmHWM``, this process's own."""
+    tree = Tree(load("hott", Path(src)), Path(src))
+    if workload == "stdlib":
+        tree.run_stdlib()
+    elif workload == "eval":
+        tree.run_eval([item.text for item in eval_expressions(EVAL_SEED)])
+    else:
+        tree.run_bulk(paths)
+    return int(re.search(r"VmHWM:\s+(\d+) kB", Path("/proc/self/status").read_text())[1]) / 1024
+
+
 class Tree:
     """One ``hott`` package, with its source, its inputs and what its runs took."""
 
@@ -95,6 +123,7 @@ class Tree:
         # workload -> (verdicts, item times per round)
         self.times = {workload: ([], []) for workload in ("stdlib", "eval", "bulk")}
         self.imports: list[float] = []
+        self.peaks: dict[str, list[float]] = {workload: [] for workload in self.times}
         self.outputs: dict[str, list] = {}
 
     @contextlib.contextmanager
@@ -206,6 +235,8 @@ def main(argv: list[str]) -> int:
                 tree.run_stdlib()
                 tree.run_eval(texts)
                 tree.run_bulk(paths)
+                for workload, peaks in tree.peaks.items():
+                    peaks.append(peak_mb(tree.src, workload, paths))
     old, new = trees["old"], trees["new"]
     for key in old.outputs:
         if old.outputs[key] != new.outputs[key]:
@@ -219,6 +250,8 @@ def main(argv: list[str]) -> int:
                    zip(*per_round(old, workload)), zip(*per_round(new, workload)))
         for name, a, b, old_rounds, new_rounds in rows:
             print(row(workload, name, a, b, old_rounds, new_rounds))
+        old_peaks, new_peaks = old.peaks[workload], new.peaks[workload]
+        print(row(workload, "peak_mb", statistics.median(old_peaks), statistics.median(new_peaks), old_peaks, new_peaks))
     return 0
 
 

@@ -1,10 +1,15 @@
 """Reduction and judgmental equality.
 
-``whnf`` contracts head redexes (beta, all iota rules, and definition
-unfolding where a constant blocks progress) in one loop over one stack;
-the iota rules are one table, ``IOTA``.  ``normalize`` produces full
-beta/iota/delta-normal forms.  ``conv`` decides judgmental equality of
-well-typed terms, with eta for Pi and for no other former.
+``whnf`` and ``normalize`` run one machine, Krivine's call-by-name machine
+with environments, as in Coquand (1996) and Kovacs' smalltt.  A closure is a
+term in an environment, a tuple of closures whose last entry binds index 0.
+Beta pushes the argument's closure onto the body's environment and
+substitutes nothing.  Each contraction (beta per argument, each rule of
+``IOTA``, delta) ticks the budget once; entering a closure or looking a
+variable up costs nothing.  Call by name, so an argument is reduced each time
+it is needed and a count means what it did when beta substituted.  ``conv``
+decides judgmental equality of well-typed terms on ``whnf``'s terms, with
+eta for Pi and for no other former.
 
 The theory has no general fixpoints, so every well-typed term normalizes;
 the step budget turns a kernel bug or an adversarial input into an error
@@ -14,7 +19,6 @@ instead of a hang.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .terms import (
     DEFAULT_MAX_STEPS,
@@ -42,10 +46,8 @@ from .terms import (
     Universe,
     Var,
     Zero,
-    instantiate,
-    rebuild,
     shift,
-    subst,  # unused here, but perfbench/boundary.py patches ``reduce.subst``
+    subst,  # unused here, but perfbench/boundary.py's ``_BOUNDARIES`` wraps ``reduce.subst``
     subterms,
 )
 
@@ -73,78 +75,87 @@ def _unfold(sig: Signature, t: Term) -> Term | None:
     return decl and decl.body
 
 
+_OPEN = 1 << 39  # above the ``_loose`` of every term without a ``Rec`` in it
+
+
+class Rec:
+    """An ``IOTA`` reduct's recursive call: ``elim``, its fields read in ``env``,
+    waiting on the closure ``scrutinee`` (for ``IndW``, applied to the variable
+    bound last).  The machine and ``_quote`` enter it, and it is its own
+    closure: it unpacks as ``(itself, env)``, as a closure ``(term, env)`` does."""
+
+    __slots__ = ("elim", "scrutinee", "env")
+    _loose = 2 * _OPEN  # no term around it is shared
+
+    def __init__(self, elim: Term, scrutinee: tuple, env: tuple):
+        self.elim, self.scrutinee, self.env = elim, scrutinee, env
+
+    def __iter__(self):
+        return iter((self, self.env))
+
+
+def _close(t: Term, env: tuple) -> tuple:  # ``t`` in ``env``: a bound variable is the closure it names
+    return env[-1 - t.index] if type(t) is Var and t.index < len(env) else (t, env)
+
+
 # Eliminator -> (scrutinee field, constructor -> contraction).  A contraction
-# maps the eliminator and its scrutinee in whnf to ``(head, pushed)``: the
-# reduct's head and a tuple of its arguments in stack order (the last argument
-# first), which ``whnf`` pushes as it is.  ``IndEmpty`` has no constructor: no
-# rule.  ``IndW``'s tree maps to a rule, not a contraction: it waits for its
-# components' lambda, whose domain annotates the recursive branch, and
-# contracts with the tree.
-IOTA: dict[type, tuple[str, dict[type, Callable | tuple]]] = {
-    IndNat: ("scrutinee", {
-        Zero: lambda t, s: (t.base, ()),
-        Succ: lambda t, s: (t.step, (IndNat(t.motive, t.base, t.step, s.pred), s.pred)),
-    }),
-    IndSigma: ("scrutinee", {Pair: lambda t, s: (t.step, (s.snd, s.fst))}),
-    IndUnit: ("scrutinee", {Star: lambda t, s: (t.point, ())}),
-    IndCoprod: ("scrutinee", {
-        Inl: lambda t, s: (t.on_left, (s.value,)),
-        Inr: lambda t, s: (t.on_right, (s.value,)),
-    }),
-    IndEq: ("path", {Refl: lambda t, s: (t.center, ())}),
-    IndTrunc: ("scrutinee", {TruncIn: lambda t, s: (t.point, (s.value,))}),
-    IndW: ("scrutinee", {Tree: ("components", {Lambda: lambda t, s, c: (t.step, (Lambda(
-        c.domain, IndW(shift(t.motive, 1, 1), shift(t.step, 0, 1), App(shift(c, 0, 1), Var(0)))), c, s.shape))})}),
+# maps the eliminator and the scrutinee's head, each with its environment, to
+# the reduct's head, in the eliminator's, and its argument closures, the last
+# first.  ``IndEmpty`` has no rule; ``IndW``'s tree waits for a lambda.
+IOTA: dict[type, tuple[str, dict]] = {
+    IndNat: ("scrutinee", {Zero: lambda t, e, s, se: (t.base, ()),
+                           Succ: lambda t, e, s, se: (t.step, (Rec(t, p := _close(s.pred, se), e), p))}),
+    IndSigma: ("scrutinee", {Pair: lambda t, e, s, se: (t.step, ((s.snd, se), (s.fst, se)))}),
+    IndUnit: ("scrutinee", {Star: lambda t, e, s, se: (t.point, ())}),
+    IndCoprod: ("scrutinee", {Inl: lambda t, e, s, se: (t.on_left, ((s.value, se),)),
+                              Inr: lambda t, e, s, se: (t.on_right, ((s.value, se),))}),
+    IndEq: ("path", {Refl: lambda t, e, s, se: (t.center, ())}),
+    IndTrunc: ("scrutinee", {TruncIn: lambda t, e, s, se: (t.point, ((s.value, se),))}),
+    IndW: ("scrutinee", {Tree: ("components", {Lambda: lambda t, e, s, se, c, ce: (
+        t.step, ((Lambda(c.domain, Rec(t, (c, ce), e)), ce), (c, ce), (s.shape, se)))})}),
 }
 
 
-def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False) -> Term:
-    """Weak head normal form, ``t`` itself when no step is taken.
-
-    One loop over one stack: the spine's arguments (the next one last) above
-    frames, each an eliminator waiting for its scrutinee's head.  Each turn
-    reads the head's former once and tests, in order: a spine, whose
-    arguments it pushes; a lambda with arguments, which takes them one tick
-    each, in one substitution; an eliminator, which waits in a new frame; a
-    head with no arguments above the top frame, which contracts through that
-    frame's table; a defined constant, which unfolds if something waits on it
-    or ``unfold`` is set (``conv`` leaves it unset, to compare equal names
-    before unfolding).  Any other head is stuck, and so is every waiting
-    eliminator: each is rebuilt around the term reached, or is itself if its
-    wait took no step.
-    """
-    start, steps, args, tick = t, budget.steps_used, [], budget.tick
-    frames = None  # or (eliminator, rule, its arguments, steps when it began, the frame below)
+def _run(sig: Signature, t: Term, env: tuple, budget: ReductionBudget, unfold: bool):
+    """Run the machine on ``t`` in ``env`` to a stuck head: ``(head, its env,
+    args, frames)``, args the spine's closures (the next last), each frame
+    ``(eliminator, its env, IOTA rule, args, frame below)``.  A constant unfolds
+    if something waits on it or ``unfold`` is set (``conv`` leaves it unset)."""
+    args, frames, tick = [], None, budget.tick
     while True:
         cls = type(t)
         while cls is App:
-            args.append(t.arg)
+            args.append(_close(t.arg, env))
             t = t.fn
             cls = type(t)
+        if cls is Var and t.index < len(env):
+            t, env = env[-1 - t.index]
+            continue
         if cls is Lambda and args:
-            taken = []
-            while type(t) is Lambda and args:
-                tick()
-                taken.append(args.pop())
-                t = t.body
-            t = instantiate(t, taken)
+            tick()
+            env, t = env + (args.pop(),), t.body
             continue
         rule = IOTA.get(cls)
         if rule is None and frames is not None and not args:
-            rule = frames[1][1].get(cls)  # from the top frame's table: a contraction, or IndW's tree's rule
+            rule = frames[2][1].get(cls)  # from the top frame's table: a contraction, or IndW's tree's rule
             if rule is not None and type(rule) is not tuple:
                 tick()
-                elim, _, args, _, frames = frames
+                elim, elim_env, _, args, frames = frames
                 if type(elim) in IOTA:
-                    t, pushed = rule(elim, t)
+                    t, pushed = rule(elim, elim_env, t, env)
                 else:  # the tree, with IndW waiting below it
-                    w, _, args, _, frames = frames
-                    t, pushed = rule(w, elim, t)
+                    t, pushed = rule(*frames[:2], elim, elim_env, t, env)
+                    elim, elim_env, _, args, frames = frames
+                env = elim_env
                 args += pushed
                 continue
         if rule is not None:
-            frames = (t, rule, args, budget.steps_used, frames)
+            frames = (t, env, rule, args, frames)
             t, args = getattr(t, rule[0]), []
+            continue
+        if cls is Rec:
+            frames = (t.elim, t.env, IOTA[type(t.elim)], args, frames)
+            (t, env), args = t.scrutinee, [env[-1]] if type(t.elim) is IndW else []
             continue
         if cls is not Const or not (unfold or args or frames):
             break
@@ -152,39 +163,96 @@ def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False)
         if decl is None or decl.body is None:
             break
         tick()
-        t = decl.body
+        t, env = decl.body, ()
+    return t, env, args, frames
 
+
+def _quote(t: Term, env: tuple, up: int = 0, depth: int = 0) -> Term:
+    """``t`` in ``env`` as a term, with no step: ``t`` under ``depth`` binders of
+    its own, all under ``up`` more than the input's root.  An index free in the
+    input moves by ``up - len(env)``; a subterm with none that moves is shared."""
+    while type(t) is Var and 0 <= t.index - depth < len(env):  # a bound variable: continue in its closure
+        (t, env), up, depth = env[-1 - t.index + depth], up + depth, 0
+    cls = type(t)
+    limit = depth if env or up else _OPEN  # with nothing to substitute or move, only a Rec changes
+    if t._loose <= limit:
+        return t
+    if cls is Var:
+        return Var(t.index - len(env) + up)
+    if cls is Rec:  # IndW's is met only under the lambda that binds the variable it applies
+        elim, scrutinee = t.elim, _quote(*t.scrutinee, up + depth)
+        scrutinee = App(scrutinee, Var(0)) if type(elim) is IndW else scrutinee
+        return type(elim)(*[scrutinee if name == IOTA[type(elim)][0] else
+                            _quote(getattr(elim, name), t.env, up + depth, k) for name, k in elim.FIELDS])
+    chain = []
+    while (cls is App or cls is Succ) and t._loose > limit:
+        chain.append(t)
+        t = t.fn if cls is App else t.pred
+        cls = type(t)
+    if chain:
+        t = _quote(t, env, up, depth)
+        for u in reversed(chain):
+            t = Succ(t) if type(u) is Succ else App(t, _quote(u.arg, env, up, depth))
+        return t
+    return cls(*[_quote(getattr(t, name), env, up, depth + k) for name, k in t.FIELDS])
+
+
+def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False) -> Term:
+    """Weak head normal form, ``t`` itself when no step is taken: the machine's
+    stuck state read back, each waiting eliminator around the term reached."""
+    if type(t) is not App and type(t) is not Const and type(t) not in IOTA:  # no other head can step
+        return t
+    steps = budget.steps_used
+    head, env, args, frames = _run(sig, t, (), budget, unfold)
     if budget.steps_used == steps:
-        return start
-    while True:  # the head is stuck: rebuild each waiting eliminator, top frame first
+        return t
+    t = _quote(head, env)
+    while True:
         while args:
-            t = App(t, args.pop())
+            t = App(t, _quote(*args.pop()))
         if frames is None:
             return t
-        elim, (field, _), args, waited, frames = frames
-        if budget.steps_used != waited:
-            elim = type(elim)(*(t if f == field else getattr(elim, f) for f in elim.__match_args__))
-        t = elim
+        elim, env, (field, _), args, frames = frames
+        t = type(elim)(*[t if name == field else _quote(getattr(elim, name), env, 0, k) for name, k in elim.FIELDS])
 
 
 def normalize(sig: Signature, t: Term, budget: ReductionBudget) -> Term:
-    """Full beta/iota/delta-normal form: recurses under binders, loops on ``Succ``
-    and on an application's spine (the head first, then the arguments in order)."""
-    chain, apps = [], []
-    t = whnf(sig, t, budget, unfold=True)
-    while type(t) is Succ:
-        chain.append(t)
-        t = whnf(sig, t.pred, budget, unfold=True)
-    while type(t) is App:  # a neutral spine: its head is stuck
-        apps.append(t)
-        t = t.fn
-    if type(t).BINDERS:
-        t = rebuild(t, [normalize(sig, sub, budget) for sub, _ in subterms(t)])
-    for app in reversed(apps):
-        arg = normalize(sig, app.arg, budget)
-        t = app if app.fn is t and app.arg is arg else App(t, arg)
-    for succ in reversed(chain):
-        t = succ if succ.pred is t else Succ(t)
+    """Full beta/iota/delta-normal form, ``t`` itself when no step is taken."""
+    return _normal(sig, t, (), 0, budget, [()])
+
+
+def _normal(sig: Signature, t: Term, env: tuple, depth: int, budget: ReductionBudget, ident: list) -> Term:
+    """The normal form of ``t`` in ``env``, ``depth`` binders below the root, each
+    bound to its de Bruijn level, an int, on which the machine is stuck; a term
+    reads back as itself in ``ident[depth]``, which binds them in order."""
+    steps, chain = budget.steps_used, []
+    while len(ident) < depth + 3:  # the levels of a part's binders, two at most
+        ident.append(ident[-1] + ((len(ident) - 1, ()),))
+    node, node_env, args, frames = _run(sig, t, env, budget, True)
+    while type(node) is Succ and frames is None and not args:
+        chain.append((node, node_env))
+        node, node_env, args, frames = _run(sig, node.pred, node_env, budget, True)
+    field = r = None
+    while True:
+        if type(node) is int:
+            r = Var(depth - 1 - node)
+        elif type(node) is Var:
+            r = node if len(node_env) == depth else Var(node.index - len(node_env) + depth)
+        else:
+            parts = []  # a loop, not a comprehension: one frame per level
+            for name, k in node.FIELDS:
+                part_env = ident[depth + k] if node_env is ident[depth] else node_env + ident[depth + k][depth:]
+                parts.append(r if name == field else _normal(sig, getattr(node, name), part_env, depth + k, budget, ident))
+            r = type(node)(*parts) if parts else node
+        while args:
+            r = App(r, _normal(sig, *args.pop(), depth, budget, ident))
+        if frames is None:
+            break
+        node, node_env, (field, _), args, frames = frames
+    for succ, succ_env in reversed(chain):
+        r = succ if r is succ.pred and (succ._loose == 0 or succ_env is ident[depth]) else Succ(r)
+    if budget.steps_used > steps or type(t) is int or t._loose and (env is not ident[depth] or t._loose > _OPEN):
+        return r
     return t
 
 

@@ -5,8 +5,8 @@ bound variable as index 0, with all enclosing indices shifted up by one.
 The index-manipulation calculus (shift/subst/instantiate/at) lives here,
 as one walker that maps each variable itself: an index in the substituted
 range becomes its argument, shifted over the binders it crossed, and any
-other index moves by one fixed amount.  Evaluation and type checking are
-built on top of it.
+other index moves by one fixed amount.  Type checking is built on top of
+it; evaluation (``reduce``) binds closures in environments instead.
 
 Nodes are slotted and frozen, and compare, hash and print as frozen
 dataclasses do, but are none: one generator, ``Term.__init_subclass__``,
@@ -265,14 +265,6 @@ def subterms(t: Term) -> Iterator[tuple[Term, int]]:
     """Yield each direct subterm together with the binders entering it."""
     for name, k in t.FIELDS:
         yield getattr(t, name), k
-
-
-def rebuild(t: Term, children: list[Term]) -> Term:
-    """``t`` with its subterms replaced by ``children``; ``t`` itself when
-    every child is the subterm it replaces."""
-    if all(getattr(t, name) is c for name, c in zip(type(t).__match_args__, children)):
-        return t
-    return type(t)(*children)
 
 
 def spine(t: Term) -> tuple[int, Term]:

@@ -10,7 +10,7 @@ import pytest
 
 from hott.loader import ProcessOptions, process_module
 from hott.parser import parse
-from hott.terms import EMPTY_SIGNATURE, Signature
+from hott.terms import EMPTY_SIGNATURE, Signature, Term
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))
@@ -35,6 +35,19 @@ def load_stdlib(collect_output: list[str] | None = None) -> Signature:
     for path in stdlib_paths():
         sig = process_module(sig, parse(path.read_text(), path.name), opts)
     return sig
+
+
+FORMERS = frozenset(Term.__subclasses__())
+
+
+def assert_formers(t: Term) -> None:
+    """Every node of ``t`` is a term former: no closure of the reduction
+    machine escapes into a result."""
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        assert type(node) in FORMERS, (type(node), t)
+        todo.extend(getattr(node, name) for name, _ in node.FIELDS)
 
 
 REJECTED = re.compile(r"#fail: rejected as expected \[(.*)\]")

@@ -40,7 +40,6 @@ from hott.terms import (
     Universe,
     Var,
     Zero,
-    rebuild,
     shift,
     subst,
     subterms,
@@ -84,6 +83,14 @@ IOTA: dict[type, tuple[str, dict[type, Callable[[Term, Term], Term]]]] = {
     IndEq: ("path", {Refl: lambda t, s: t.center}),
     IndTrunc: ("scrutinee", {TruncIn: lambda t, s: App(t.point, s.value)}),
 }
+
+
+def rebuild(t: Term, children: list[Term]) -> Term:
+    """``t`` with its subterms replaced by ``children``; ``t`` itself when
+    every child is the subterm it replaces.  (``hott.terms`` had this once.)"""
+    if all(getattr(t, name) is c for name, c in zip(type(t).__match_args__, children)):
+        return t
+    return type(t)(*children)
 
 
 def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False) -> Term:

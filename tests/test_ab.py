@@ -1,6 +1,6 @@
 """Smoke test of ``scripts/ab.py``: one round against ``HEAD`` finds the same
 outputs and steps in both trees and reports the import time and every
-workload, each with the rounds the new tree won."""
+workload, its peak memory included, each with the rounds the new tree won."""
 
 from __future__ import annotations
 
@@ -23,5 +23,9 @@ def test_one_round_against_head_reports_every_workload():
     header, *rows = proc.stdout.splitlines()
     assert header.startswith("1 rounds, outputs and steps identical")
     assert {row.split()[0] for row in rows} == {"setup", "stdlib", "eval", "bulk"}
-    assert len(rows) == 10  # import_s, then verdict_s, item_ms.p50 and item_ms.p90 per workload
+    assert len(rows) == 13  # import_s, then verdict_s, item_ms.p50, item_ms.p90 and peak_mb per workload
     assert all(re.search(r"  new/old \d+\.\d{3}  wins [01]/1$", row) for row in rows), rows
+    peaks = {row.split()[0]: [float(row.split()[i]) for i in (3, 5)] for row in rows if row.split()[1] == "peak_mb"}
+    assert set(peaks) == {"stdlib", "eval", "bulk"}
+    # a pass's own peak: more than a bare interpreter's, and far below perfbench's readings
+    assert all(5 < mb < 200 for pair in peaks.values() for mb in pair), peaks

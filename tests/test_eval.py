@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import reference_reduce as ref
-from conftest import flat
+from conftest import assert_formers, flat
 from hott import reduce
 from hott.check import check, infer
 from hott.loader import ProcessOptions, process_module
@@ -252,8 +252,8 @@ def test_arrow_into_long_spine_checks_and_prints():
 
 @flat
 def test_open_spine_substitutes_in_a_loop():
-    # beta instantiates the lambda's body down the spine of ``f x … x`` in a
-    # loop, each node's bound set when it was built
+    # beta binds ``x`` to zero's closure, and reading the body back walks the
+    # spine of ``f x … x`` in a loop
     n = 5_000
     term = r"(\(x : Nat). f" + " x" * n + ") zero"
     text = "postulate f : " + "Nat -> " * n + f"Nat\n#eval {term}\n#check {term} : Nat\n"
@@ -311,6 +311,13 @@ def test_iota_rule(case):
     b = bud()
     assert whnf(SIG, mk(constructor), b) == reduct
     assert b.steps_used == 1
+
+    # the reduct waits on an opaque field: each operation agrees with the
+    # reference, and no closure of the machine escapes into its result
+    for op in ("whnf", "whnf-unfold", "normalize"):
+        got = _outcome(reduce, op, SIG, mk(constructor))
+        assert got == _outcome(ref, op, SIG, mk(constructor)), op
+        assert_formers(got[0])
 
     # stuck on a variable: the term itself, no step
     t = mk(Var(0))

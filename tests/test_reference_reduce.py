@@ -1,8 +1,10 @@
 """The kernel's ``whnf``, ``normalize`` and ``conv`` against the frozen copy
 in ``reference_reduce.py``: the same normal forms, the same conversion
 verdicts and the same step counts (or the same exhausted budget), on the
-criterion-5 population, on random scoped terms and on arithmetic over
-numerals of a few hundred."""
+criterion-5 population, on open applications of the enumerated functions,
+on random scoped terms and on arithmetic over numerals of a few hundred.
+Every node of every normal form is a term former: no machine closure
+escapes the kernel."""
 
 from __future__ import annotations
 
@@ -15,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 import reference_reduce as ref  # noqa: E402
+from conftest import assert_formers  # noqa: E402
 from enumeration import Enumerator, random_scoped_term  # noqa: E402
 
 from hott import reduce
 from hott.reduce import BudgetExhausted, ReductionBudget
-from hott.terms import EMPTY_SIGNATURE, App, Const, numeral
+from hott.terms import EMPTY_SIGNATURE, NAT, UNIT, App, Const, IndNat, Lambda, Pi, Term, Var, numeral, shift
 
 PAIR_CAP = 20  # per-type sample width for the pairwise conv comparison
 
@@ -45,14 +48,30 @@ def assert_same(sig, op: str, *terms, max_steps: int = 10_000_000) -> None:
     }
     kernel, oracle = fns[op]
     got = _run(kernel, sig, *terms, max_steps=max_steps)
+    if isinstance(got[0], Term):
+        assert_formers(got[0])
     with ref.deep():
         want = _run(oracle, sig, *terms, max_steps=max_steps)
     assert got == want, (op, terms)
 
 
 @pytest.fixture(scope="module")
-def population():
-    return Enumerator(max_size=8).population()
+def enumerator():
+    return Enumerator(max_size=8)
+
+
+@pytest.fixture(scope="module")
+def population(enumerator):
+    return enumerator.population()
+
+
+@pytest.fixture(scope="module")
+def functions(enumerator):
+    """The closed functions the enumerator builds, from Nat or Unit to each
+    type of its pool (the population holds none: its types are data), each
+    with its type."""
+    types = [Pi(dom, shift(ty, 0, 1)) for ty in enumerator.pool for dom in (NAT, UNIT)]
+    return [(f, ty) for ty in types for n in range(1, enumerator.max_size + 1) for f in enumerator.terms(ty, n)]
 
 
 def test_population_matches_reference(population):
@@ -66,6 +85,39 @@ def test_population_matches_reference(population):
         for a in sample:
             for b in sample:
                 assert_same(EMPTY_SIGNATURE, "conv", a, b)
+
+
+def _open_uses(f: Term, ty: Pi) -> tuple[Term, ...]:
+    """``f`` applied to free variables, and eta-expanded: open terms, on which
+    an eliminator waits stuck and a variable is read back from the machine."""
+    return App(f, Var(0)), App(f, Var(2)), Lambda(ty.domain, App(shift(f, 0, 1), Var(0)))
+
+
+def test_open_applications_match_reference(enumerator, functions):
+    assert len(functions) > 2_000
+    # under a postulated step ``s : Nat -> Nat -> Nat``: ind-nat's reduct
+    # applies ``s`` to the recursive call, which stays in the result
+    opaque = [t for ty in (NAT, Pi(NAT, NAT)) for n in range(1, enumerator.max_size + 1)
+              for t in enumerator.terms(ty, n, (Pi(NAT, Pi(NAT, NAT)),))]
+    assert sum(type(t) is IndNat and t.step == Var(0) for t in opaque) >= 5
+    for t in opaque:
+        for op in ("whnf", "whnf-unfold", "normalize"):
+            assert_same(EMPTY_SIGNATURE, op, t)
+    buckets: dict = {}
+    for f, ty in functions:
+        uses = _open_uses(f, ty)
+        for u in uses:
+            for op in ("whnf", "whnf-unfold", "normalize"):
+                assert_same(EMPTY_SIGNATURE, op, u)
+        assert_same(EMPTY_SIGNATURE, "conv", uses[0], uses[1])
+        assert_same(EMPTY_SIGNATURE, "conv", uses[2], f)
+        buckets.setdefault(ty, []).append(uses)
+    for uses in buckets.values():
+        sample = uses[:PAIR_CAP]
+        for a in sample:
+            for b in sample:
+                assert_same(EMPTY_SIGNATURE, "conv", a[0], b[0])
+                assert_same(EMPTY_SIGNATURE, "conv", a[2], b[2])
 
 
 @settings(max_examples=300, deadline=None)

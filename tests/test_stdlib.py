@@ -243,9 +243,18 @@ def test_corpus_eval_output_is_the_expected_golden():
     ]
 
 
+WU = r"W Unit (\(x : Unit). Empty)"
+# ind-w on a leaf of ``WU``, annotated through a lambda: a tree only checks
+W_COUNT = (rf"(\(t : {WU}). ind-w (\(w : {WU}). Nat) (\(x : Unit). \(c : Empty -> {WU}). \(r : Empty -> Nat). add 2 3) t)"
+           rf" (tree star (\(e : Empty). ind-empty (\(z : Empty). {WU}) e))")
+
+
 @pytest.mark.parametrize(
     "src, steps",
-    [("exp 2 10", 53_230), ("factorial 6", 36_033), ("fib 10", 2_888), ("triangle 30", 1_608)],
+    [("exp 2 10", 53_230), ("factorial 6", 36_033), ("fib 10", 2_888), ("triangle 30", 1_608),
+     # one each through the iota rules of Coprod, Unit, Eq, Trunc and W
+     ("iota 4 (inr star)", 13), (r"ind-bool (\(b : bool). Nat) 0 1 true", 12), ("eq-to-Eq 3 3 refl", 17),
+     (r"trunc-rec-nat Nat (eta 3) (\(m : Nat). eta (succ m))", 6), (W_COUNT, 25)],
 )
 def test_reduction_steps_are_pinned(stdlib_sig, src, steps):
     """Step counts are deterministic: any change in kernel work fails here."""
