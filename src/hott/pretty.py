@@ -131,6 +131,30 @@ class _Printer:
         return s
 
     def render(self, t: Term, env: list[str]) -> tuple[str, int]:
+        # a chain of binders and sums in a loop: each prefix, then the tail at the level it needs,
+        # which after a ``+`` is an operand of ``+``
+        parts, level, tail = [], _PLUS if isinstance(t, Coprod) else _EXPR, _EXPR
+        while isinstance(t, Coprod) or tail == _EXPR and isinstance(t, (Lambda, Pi, Sigma)):
+            if isinstance(t, Coprod):
+                parts.append(f"{self.show(t.left, env, _APP)} + ")
+                t, tail = t.right, _PLUS
+            elif isinstance(t, Pi) and not _uses(t.codomain):
+                parts.append(f"{self.show(t.domain, env, _PLUS)} -> ")
+                t, env = t.codomain, env + [None]
+            else:
+                name = self.fresh()
+                if isinstance(t, Sigma):
+                    parts.append(f"Sig ({name} : {self.expr(t.first, env)}), ")
+                    t = t.second
+                elif isinstance(t, Pi):
+                    parts.append(f"({name} : {self.expr(t.domain, env)}) -> ")
+                    t = t.codomain
+                else:
+                    parts.append(f"\\({name} : {self.expr(t.domain, env)}). ")
+                    t = t.body
+                env = env + [name]
+        if parts:
+            return "".join(parts) + self.show(t, env, tail), level
         if isinstance(t, Var):
             if t.index < len(env):
                 return env[-1 - t.index], _ATOM
@@ -159,32 +183,12 @@ class _Printer:
             return " ".join(parts), _APP
         if isinstance(t, Universe):
             return f"Type {t.level}", _APP
-        if isinstance(t, Lambda):
-            name = self.fresh()
-            dom = self.expr(t.domain, env)
-            return f"\\({name} : {dom}). {self.expr(t.body, env + [name])}", _EXPR
-        if isinstance(t, Pi):
-            if _uses(t.codomain):
-                name = self.fresh()
-                dom = self.expr(t.domain, env)
-                return f"({name} : {dom}) -> {self.expr(t.codomain, env + [name])}", _EXPR
-            dom = self.show(t.domain, env, _PLUS)
-            cod = self.expr(t.codomain, env + [None])
-            return f"{dom} -> {cod}", _EXPR
-        if isinstance(t, Sigma):
-            name = self.fresh()
-            first = self.expr(t.first, env)
-            return f"Sig ({name} : {first}), {self.expr(t.second, env + [name])}", _EXPR
         if isinstance(t, App):  # the spine in a loop: the head, then each argument as an atom
             args = []
             while isinstance(t, App):
                 args.append(t.arg)
                 t = t.fn
             return " ".join([self.show(t, env, _APP), *(self.atom(a, env) for a in reversed(args))]), _APP
-        if isinstance(t, Coprod):
-            left = self.show(t.left, env, _APP)
-            right = self.show(t.right, env, _PLUS)
-            return f"{left} + {right}", _PLUS
         raise AssertionError(f"unprintable term {t!r}")
 
 

@@ -3,13 +3,13 @@
 ``whnf`` and ``normalize`` run one machine, Krivine's call-by-name machine
 with environments, as in Coquand (1996) and Kovacs' smalltt.  A closure is a
 term in an environment, a tuple of closures whose last entry binds index 0.
-Beta pushes the argument's closure onto the body's environment and
-substitutes nothing.  Each contraction (beta per argument, each rule of
-``IOTA``, delta) ticks the budget once; entering a closure or looking a
-variable up costs nothing.  Call by name, so an argument is reduced each time
-it is needed and a count means what it did when beta substituted.  ``conv``
-decides judgmental equality of well-typed terms on ``whnf``'s terms, with
-eta for Pi and for no other former.
+Beta pushes the argument's closure onto the body's environment and substitutes
+nothing; ``whnf`` reads closures back with ``terms._map_vars``.  Each
+contraction (beta per argument, each rule of ``IOTA``, delta) ticks the budget
+once; entering a closure or looking a variable up costs nothing.  Call by name,
+so an argument is reduced each time it is needed and a count means what it did
+when beta substituted.  ``conv`` decides judgmental equality of well-typed
+terms on ``whnf``'s terms, with eta for Pi and for no other former.
 
 The theory has no general fixpoints, so every well-typed term normalizes;
 the step budget turns a kernel bug or an adversarial input into an error
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .terms import (
     DEFAULT_MAX_STEPS,
+    _OPEN,
     App,
     Const,
     IndCoprod,
@@ -36,6 +37,7 @@ from .terms import (
     Lambda,
     LocatedError,
     Pair,
+    Rec,
     Refl,
     Signature,
     Star,
@@ -46,6 +48,7 @@ from .terms import (
     Universe,
     Var,
     Zero,
+    _map_vars,
     shift,
     subst,  # unused here, but perfbench/boundary.py's ``_BOUNDARIES`` wraps ``reduce.subst``
     subterms,
@@ -73,25 +76,6 @@ def _unfold(sig: Signature, t: Term) -> Term | None:
     """Body of a defined constant, or None when ``t`` is not unfoldable."""
     decl = sig.lookup(t.name) if isinstance(t, Const) else None
     return decl and decl.body
-
-
-_OPEN = 1 << 39  # above the ``_loose`` of every term without a ``Rec`` in it
-
-
-class Rec:
-    """An ``IOTA`` reduct's recursive call: ``elim``, its fields read in ``env``,
-    waiting on the closure ``scrutinee`` (for ``IndW``, applied to the variable
-    bound last).  The machine and ``_quote`` enter it, and it is its own
-    closure: it unpacks as ``(itself, env)``, as a closure ``(term, env)`` does."""
-
-    __slots__ = ("elim", "scrutinee", "env")
-    _loose = 2 * _OPEN  # no term around it is shared
-
-    def __init__(self, elim: Term, scrutinee: tuple, env: tuple):
-        self.elim, self.scrutinee, self.env = elim, scrutinee, env
-
-    def __iter__(self):
-        return iter((self, self.env))
 
 
 def _close(t: Term, env: tuple) -> tuple:  # ``t`` in ``env``: a bound variable is the closure it names
@@ -167,53 +151,26 @@ def _run(sig: Signature, t: Term, env: tuple, budget: ReductionBudget, unfold: b
     return t, env, args, frames
 
 
-def _quote(t: Term, env: tuple, up: int = 0, depth: int = 0) -> Term:
-    """``t`` in ``env`` as a term, with no step: ``t`` under ``depth`` binders of
-    its own, all under ``up`` more than the input's root.  An index free in the
-    input moves by ``up - len(env)``; a subterm with none that moves is shared."""
-    while type(t) is Var and 0 <= t.index - depth < len(env):  # a bound variable: continue in its closure
-        (t, env), up, depth = env[-1 - t.index + depth], up + depth, 0
-    cls = type(t)
-    limit = depth if env or up else _OPEN  # with nothing to substitute or move, only a Rec changes
-    if t._loose <= limit:
-        return t
-    if cls is Var:
-        return Var(t.index - len(env) + up)
-    if cls is Rec:  # IndW's is met only under the lambda that binds the variable it applies
-        elim, scrutinee = t.elim, _quote(*t.scrutinee, up + depth)
-        scrutinee = App(scrutinee, Var(0)) if type(elim) is IndW else scrutinee
-        return type(elim)(*[scrutinee if name == IOTA[type(elim)][0] else
-                            _quote(getattr(elim, name), t.env, up + depth, k) for name, k in elim.FIELDS])
-    chain = []
-    while (cls is App or cls is Succ) and t._loose > limit:
-        chain.append(t)
-        t = t.fn if cls is App else t.pred
-        cls = type(t)
-    if chain:
-        t = _quote(t, env, up, depth)
-        for u in reversed(chain):
-            t = Succ(t) if type(u) is Succ else App(t, _quote(u.arg, env, up, depth))
-        return t
-    return cls(*[_quote(getattr(t, name), env, up, depth + k) for name, k in t.FIELDS])
-
-
 def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False) -> Term:
     """Weak head normal form, ``t`` itself when no step is taken: the machine's
-    stuck state read back, each waiting eliminator around the term reached."""
+    stuck state read back by ``_map_vars``, the one walker that maps indices to
+    terms or to closures, each waiting eliminator around the term reached."""
     if type(t) is not App and type(t) is not Const and type(t) not in IOTA:  # no other head can step
         return t
     steps = budget.steps_used
     head, env, args, frames = _run(sig, t, (), budget, unfold)
     if budget.steps_used == steps:
         return t
-    t = _quote(head, env)
+    # ``u`` under ``k`` binders of its own, read in ``env``; with nothing to substitute, only a Rec changes
+    read = lambda u, env, k=0: u if u._loose <= (k if env else _OPEN) else _map_vars(u, 0, k, env, -len(env))
+    t = read(head, env)
     while True:
         while args:
-            t = App(t, _quote(*args.pop()))
+            t = App(t, read(*args.pop()))
         if frames is None:
             return t
         elim, env, (field, _), args, frames = frames
-        t = type(elim)(*[t if name == field else _quote(getattr(elim, name), env, 0, k) for name, k in elim.FIELDS])
+        t = type(elim)(*[t if name == field else read(getattr(elim, name), env, k) for name, k in elim.FIELDS])
 
 
 def normalize(sig: Signature, t: Term, budget: ReductionBudget) -> Term:

@@ -2,11 +2,12 @@
 
 Every binder is positional: a subterm that "binds one variable" sees the
 bound variable as index 0, with all enclosing indices shifted up by one.
-The index-manipulation calculus (shift/subst/instantiate/at) lives here,
-as one walker that maps each variable itself: an index in the substituted
-range becomes its argument, shifted over the binders it crossed, and any
-other index moves by one fixed amount.  Type checking is built on top of
-it; evaluation (``reduce``) binds closures in environments instead.
+The index-manipulation calculus (shift/subst/instantiate/at) lives here, as
+the kernel's one walker, which maps each variable itself: an index in the
+substituted range becomes its argument, a term shifted over the binders it
+crossed or a closure of ``reduce``'s machine read back, and any other index
+moves by one fixed amount.  Type checking is built on top of it; evaluation
+(``reduce``) binds closures in environments instead and reads them back here.
 
 Nodes are slotted and frozen, and compare, hash and print as frozen
 dataclasses do, but are none: one generator, ``Term.__init_subclass__``,
@@ -23,6 +24,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from typing import ClassVar, Iterable, Iterator, Optional, Sequence
 
 DEFAULT_MAX_STEPS = 10_000_000
+_OPEN = 1 << 39  # above the ``_loose`` of every term without a ``Rec`` in it
 
 
 class KernelBug(Exception):
@@ -282,39 +284,70 @@ def loose(t: Term) -> int:
     return t._loose
 
 
-def _map_vars(t: Term, cutoff: int, depth: int, args: Sequence[Term], amount: int) -> Term:
+class Rec:
+    """An ``IOTA`` reduct's recursive call: ``elim``, its fields read in ``env``,
+    waiting on the closure ``scrutinee`` (for ``IndW``, applied to the variable
+    bound last).  The machine enters it and ``_map_vars`` reads it back; it is
+    its own closure: it unpacks as ``(itself, env)``, as ``(term, env)`` does."""
+
+    __slots__ = ("elim", "scrutinee", "env")
+    _loose = 2 * _OPEN  # no term around it is shared
+
+    def __init__(self, elim: Term, scrutinee: tuple, env: tuple):
+        self.elim, self.scrutinee, self.env = elim, scrutinee, env
+
+    def __iter__(self):
+        return iter((self, self.env))
+
+
+def _map_vars(t: Term, cutoff: int, depth: int, args: Sequence, amount: int) -> Term:
     """Map each index ``i`` >= ``cutoff`` outside ``t``, which has one, under
     ``depth`` binders: ``i - cutoff - depth`` < ``len(args)`` counts from the
-    last argument, taken as it is when closed, else shifted over ``depth``;
-    any other ``i`` becomes ``i + amount``.  A child with no such index is
-    shared, and a chain of ``fn`` or ``pred`` (an application's spine, a
-    numeral) is walked in a loop."""
-    if type(t) is Var:
+    last argument, any other ``i`` becomes ``i + amount``.  An argument is a
+    term under the output's root, taken as it is when closed, else shifted
+    over ``depth``; or, with ``cutoff`` 0, a closure ``(term, env)`` (or a
+    ``Rec``) where ``t``'s other indices live, read back in its ``env`` and
+    moved over ``depth + amount + len(args)``.  A child with no index that
+    moves, and no ``Rec``, is shared, and a chain of ``fn`` or ``pred`` (an
+    application's spine, a numeral) is walked in a loop."""
+    if (cls := type(t)) is Var:
         i = t.index - cutoff - depth
         if i < len(args):
             a = args[-1 - i]
-            return _map_vars(a, 0, 0, (), depth) if depth and a._loose else a
+            if isinstance(a, Term):
+                return _map_vars(a, 0, 0, (), depth) if depth and a._loose else a
+            (t, env), up = a, depth + amount + len(args)
+            while type(t) is Var and t.index < len(env):  # bound again: continue in its closure
+                t, env = env[-1 - t.index]
+            return t if t._loose <= (0 if env or up else _OPEN) else _map_vars(t, 0, 0, env, up - len(env))
         if t.index + amount < 0:
             raise KernelBug(f"index underflow shifting {t.index} by {amount}")
         return Var(t.index + amount)
-    bound, chain = cutoff + depth, []
-    while type(t) in (App, Succ) and t._loose > bound:
+    bound, chain = cutoff + depth if args or amount else _OPEN, []  # moving nothing, only a Rec changes
+    while ((cls := type(t)) is App or cls is Succ) and t._loose > bound:
         chain.append(t)
-        t = t.fn if type(t) is App else t.pred
+        t = t.fn if cls is App else t.pred
     if chain:
         t = t if t._loose <= bound else _map_vars(t, cutoff, depth, args, amount)
         for u in reversed(chain):
             if type(u) is Succ:
                 t = Succ(t)
-                continue
-            a = u.arg
-            t = App(t, a if a._loose <= bound else _map_vars(a, cutoff, depth, args, amount))
+            else:
+                t = App(t, a if (a := u.arg)._loose <= bound else _map_vars(a, cutoff, depth, args, amount))
         return t
     children = []
+    if cls is Rec:  # its eliminator, the scrutinee last: the closure read back as a variable bound to it
+        env, up = t.env, depth + amount + len(args)
+        hole = _map_vars(Var(0), 0, 0, (t.scrutinee,), up - 1)
+        t, cls, limit = t.elim, type(t.elim), 0 if env or up else _OPEN
+        for name, k in t.FIELDS[:-1]:  # a loop: a comprehension would make its locals cells of every call
+            sub = getattr(t, name)
+            children.append(sub if sub._loose <= limit + k else _map_vars(sub, 0, k, env, up - len(env)))
+        return cls(*children, App(hole, Var(0)) if cls is IndW else hole)  # IndW's is under its lambda
     for name, k in t.FIELDS:
         sub = getattr(t, name)
         children.append(sub if sub._loose <= bound + k else _map_vars(sub, cutoff, depth + k, args, amount))
-    return type(t)(*children)
+    return cls(*children)
 
 
 def shift(t: Term, cutoff: int, amount: int) -> Term:

@@ -61,3 +61,14 @@ def test_every_core_definition_has_a_caller():
     # a name that gains a caller or leaves the core leaves the list too
     stale = set(ALLOWED) - set(uncalled.values())
     assert not stale, "allowed but called or gone: " + ", ".join(stale)
+
+
+# The trusted core's size, in lines as ``wc -l`` counts them.  Raising the
+# ceiling needs a reason recorded in CHANGES.md.
+CORE = ("terms.py", "reduce.py", "check.py")
+CORE_LINES = 1_100
+
+
+def test_trusted_core_stays_within_its_line_ceiling():
+    lines = sum((PACKAGE / name).read_bytes().count(b"\n") for name in CORE)
+    assert lines <= CORE_LINES, f"the trusted core has {lines} lines, over its ceiling of {CORE_LINES}"

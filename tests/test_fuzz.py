@@ -178,6 +178,14 @@ def test_depth_floor_checks(tmp_path, kind):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+@pytest.mark.parametrize("op", ["->", "+"])
+def test_long_chain_evaluates_and_prints(tmp_path, op):
+    # the printer walks a chain of arrows or of summands in a loop
+    chain = f" {op} ".join(["Nat"] * 901)
+    proc = check_file(tmp_path, f"#eval {chain}\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, chain + "\n", "")
+
+
 def test_too_deep_lambda_is_max_depth_at_its_item(tmp_path):
     text = "-- too deep for the kernel\n\n" + deep_lambdas(random.Random(0), 5_000)
     proc = check_file(tmp_path, text)

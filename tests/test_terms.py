@@ -316,6 +316,41 @@ def test_instantiate_matches_sequential_subst_random(seed, fuel):
     _assert_instantiate_matches_reference(t, args)
 
 
+# -- reading a closure back against substitution -----------------------------
+#
+# A closure ``(u, e)`` is a term in an environment, a tuple of closures whose
+# last entry binds index 0; ``u``'s other indices live where ``e``'s do.
+
+
+def _random_closure(rng: random.Random, levels: int, k: int = 0) -> tuple:
+    """``(u, e)``, ``e`` nesting closures ``levels`` deep, ``u`` under ``k``
+    binders of its own and scoped over ``e`` and up to two indices more."""
+    e = tuple(_random_closure(rng, levels - 1) for _ in range(rng.randrange(0, 4))) if levels else ()
+    return random_scoped_term(rng, k + len(e) + rng.randrange(0, 3), rng.randrange(1, 16)), e
+
+
+def _read(u: Term, e: tuple, up: int = 0, k: int = 0) -> Term:
+    """``u`` in ``e`` under ``k`` binders of its own, all ``up`` binders below
+    where ``e``'s other indices live, read back by the one index walker."""
+    return u if u._loose <= k else terms._map_vars(u, 0, k, e, up - len(e))
+
+
+def _ref_read(closure: tuple) -> Term:
+    u, e = closure
+    return instantiate(u, [_ref_read(c) for c in e])
+
+
+def test_closure_readback_matches_substitution():
+    rng = random.Random(11)
+    for _ in range(3_000):
+        up, k = rng.randrange(0, 4), rng.randrange(0, 3)
+        u, e = _random_closure(rng, 2, k)
+        expected = shift(instantiate(u, [shift(_ref_read(c), 0, k) for c in e], k), k, up)
+        got = _read(u, e, up, k)
+        assert got == expected, (u, e, up, k)
+        _assert_cached_bounds_sound(got)
+
+
 # -- the bound set on each node when it is built -----------------------------
 #
 # A node built with too small a bound would make a later substitution skip
