@@ -26,13 +26,18 @@ interpreter, which reports its own peak memory: ``VmHWM`` of
 ``/proc/self/status``.  That is the program's memory alone; ``perfbench``'s
 ``peak_rss_mb`` reads ``ru_maxrss``, which also counts what its parent
 ``run.py`` holds, and that grows with the number of passes it stores.
+Once per tree, a fresh interpreter runs each workload with every rule of
+``reduce.IOTA`` wrapped where its table holds it, and counts the ι
+contractions the tree performed: call by need performs fewer than the
+steps it charges for them, call by name as many.
 
 Items are timed at ``loader.execute``, as ``perfbench/drive.py``'s
 ``ItemTimer`` times them.  It exits 1 unless both trees print the same
 output and take the same reduction steps on every item.  Then it prints
 the median import time over rounds and, per workload, the median verdict
 time over rounds, item p50 and p90, the deciles over items of each
-item's median time, and the median peak memory, each with its new/old
+item's median time, the median peak memory and the ι contractions
+performed (``iota_done``, the same in every round), each with its new/old
 ratio and ``wins k/N``: in how many of the N rounds the new tree's figure
 for that round was lower.  On a shared host a median ratio within about
 30% of 1 can be noise; a win count near N/2 says it is.  The workloads of both
@@ -87,25 +92,51 @@ def import_s(src: Path) -> float:
     return float(subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout)
 
 
-def peak_mb(src: Path, workload: str, paths: list[str]) -> float:
-    """Peak resident memory, in MB, of a fresh interpreter that runs ``workload``
-    once on the tree under ``src``."""
+def alone(src: Path, workload: str, paths: list[str], figure: str) -> float:
+    """``figure`` (see ``run_alone``) of a fresh interpreter that runs
+    ``workload`` once on the tree under ``src``."""
     code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import ab\n"
-            f"print(ab.run_alone({str(src)!r}, {workload!r}, {paths!r}))")
+            f"print(ab.run_alone({str(src)!r}, {workload!r}, {paths!r}, {figure!r}))")
     return float(subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout)
 
 
-def run_alone(src: str, workload: str, paths: list[str]) -> float:
+def run_alone(src: str, workload: str, paths: list[str], figure: str = "peak_mb") -> float:
     """Run ``workload`` once on the tree under ``src``, in this interpreter, and
-    return its peak resident memory in MB: ``VmHWM``, this process's own."""
+    return ``figure``: ``peak_mb``, its peak resident memory in MB (``VmHWM``,
+    this process's own), or ``iota_done``, the ι contractions it performed."""
     tree = Tree(load("hott", Path(src)), Path(src))
+    done = count_iota(tree.hott.reduce.IOTA) if figure == "iota_done" else [0]
     if workload == "stdlib":
         tree.run_stdlib()
     elif workload == "eval":
         tree.run_eval([item.text for item in eval_expressions(EVAL_SEED)])
     else:
         tree.run_bulk(paths)
+    if figure == "iota_done":
+        return done[0]
     return int(re.search(r"VmHWM:\s+(\d+) kB", Path("/proc/self/status").read_text())[1]) / 1024
+
+
+def count_iota(iota: dict) -> list[int]:
+    """Wrap every rule of ``iota`` (a tree's ``reduce.IOTA``) where its table
+    holds it, ``IndW``'s tree rule in its own table, and return the one-item
+    list in which the wrappers count each contraction performed."""
+    done = [0]
+
+    def counted(rule):
+        def contract(*args):
+            done[0] += 1
+            return rule(*args)
+        return contract
+
+    tables = [table for _, table in iota.values()]
+    for table in tables:
+        for constructor, rule in list(table.items()):
+            if type(rule) is tuple:
+                tables.append(rule[1])
+            else:
+                table[constructor] = counted(rule)
+    return done
 
 
 class Tree:
@@ -205,7 +236,8 @@ def per_round(tree: Tree, workload: str) -> list[tuple[float, float, float]]:
 def row(workload: str, name: str, a: float, b: float, old_rounds, new_rounds) -> str:
     """One figure of both trees: the medians, their ratio, and the rounds the new tree won."""
     wins = sum(new < old for old, new in zip(old_rounds, new_rounds))
-    return (f"  {workload:6} {name:11}  old {a:9.4f}  new {b:9.4f}  new/old {b / a:.3f}"
+    ratio = b / a if a else 1.0 if b == a else float("inf")  # a count can be 0 in both trees
+    return (f"  {workload:6} {name:11}  old {a:9.4f}  new {b:9.4f}  new/old {ratio:.3f}"
             f"  wins {wins}/{len(old_rounds)}")
 
 
@@ -236,7 +268,9 @@ def main(argv: list[str]) -> int:
                 tree.run_eval(texts)
                 tree.run_bulk(paths)
                 for workload, peaks in tree.peaks.items():
-                    peaks.append(peak_mb(tree.src, workload, paths))
+                    peaks.append(alone(tree.src, workload, paths, "peak_mb"))
+        iota = {side: {workload: alone(src, workload, paths, "iota_done") for workload in trees[side].times}
+                for side, src in srcs.items()}
     old, new = trees["old"], trees["new"]
     for key in old.outputs:
         if old.outputs[key] != new.outputs[key]:
@@ -252,6 +286,8 @@ def main(argv: list[str]) -> int:
             print(row(workload, name, a, b, old_rounds, new_rounds))
         old_peaks, new_peaks = old.peaks[workload], new.peaks[workload]
         print(row(workload, "peak_mb", statistics.median(old_peaks), statistics.median(new_peaks), old_peaks, new_peaks))
+        a, b = iota["old"][workload], iota["new"][workload]
+        print(row(workload, "iota_done", a, b, [a] * args.rounds, [b] * args.rounds))
     return 0
 
 

@@ -46,7 +46,7 @@ def _const_names(t: Term) -> set[str]:
     names: set[str] = set()
     todo = [t]
     while todo:
-        u = todo.pop()
+        u = spine(todo.pop())[1]  # a numeral's chain of ``Succ`` in one loop
         if isinstance(u, Const):
             names.add(u.name)
         todo.extend(sub for sub, _ in subterms(u))

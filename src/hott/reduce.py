@@ -1,15 +1,19 @@
 """Reduction and judgmental equality.
 
-``whnf`` and ``normalize`` run one machine, Krivine's call-by-name machine
-with environments, as in Coquand (1996) and Kovacs' smalltt.  A closure is a
-term in an environment, a tuple of closures whose last entry binds index 0.
-Beta pushes the argument's closure onto the body's environment and substitutes
-nothing; ``whnf`` reads closures back with ``terms._map_vars``.  Each
-contraction (beta per argument, each rule of ``IOTA``, delta) ticks the budget
-once; entering a closure or looking a variable up costs nothing.  Call by name,
-so an argument is reduced each time it is needed and a count means what it did
-when beta substituted.  ``conv`` decides judgmental equality of well-typed
-terms on ``whnf``'s terms, with eta for Pi and for no other former.
+``whnf`` and ``normalize`` run one machine, Krivine's machine with
+environments (Coquand 1996; Kovacs' smalltt), made lazy as Sestoft's mark-2
+machine is (JFP 1997).  A closure is a term in an environment, a tuple of
+closures whose last entry binds index 0; one that can step is a cell
+(``terms.Rec``), forced at most once per ``whnf`` or ``normalize`` call and
+then shared: call by need (Launchbury 1993).  Beta binds the argument's
+closure in the body's environment and substitutes nothing; ``whnf`` reads
+closures back with ``terms._map_vars``, a cell as the closure it was.  The
+meter charges what call by name would: each contraction (beta per argument,
+each rule of ``IOTA``, delta) ticks the budget once, and each later entry
+into a forced cell once per step its value took, so counts and the step at
+which a budget runs out are those of substitution.  ``conv`` decides
+judgmental equality of well-typed terms on ``whnf``'s terms, with eta for
+Pi and for no other former.
 
 The theory has no general fixpoints, so every well-typed term normalizes;
 the step budget turns a kernel bug or an adversarial input into an error
@@ -78,8 +82,10 @@ def _unfold(sig: Signature, t: Term) -> Term | None:
     return decl and decl.body
 
 
-def _close(t: Term, env: tuple) -> tuple:  # ``t`` in ``env``: a bound variable is the closure it names
-    return env[-1 - t.index] if type(t) is Var and t.index < len(env) else (t, env)
+def _close(t: Term, env: tuple):  # ``t`` in ``env``: a bound variable is the closure it names, a stepping term a cell
+    if type(t) is Var:
+        return env[-1 - t.index] if t.index < len(env) else (t, env)
+    return Rec(None, (t, env), env) if type(t) in _STEPS else (t, env)
 
 
 # Eliminator -> (scrutinee field, constructor -> contraction).  A contraction
@@ -89,14 +95,24 @@ def _close(t: Term, env: tuple) -> tuple:  # ``t`` in ``env``: a bound variable 
 IOTA: dict[type, tuple[str, dict]] = {
     IndNat: ("scrutinee", {Zero: lambda t, e, s, se: (t.base, ()),
                            Succ: lambda t, e, s, se: (t.step, (Rec(t, p := _close(s.pred, se), e), p))}),
-    IndSigma: ("scrutinee", {Pair: lambda t, e, s, se: (t.step, ((s.snd, se), (s.fst, se)))}),
+    IndSigma: ("scrutinee", {Pair: lambda t, e, s, se: (t.step, (_close(s.snd, se), _close(s.fst, se)))}),
     IndUnit: ("scrutinee", {Star: lambda t, e, s, se: (t.point, ())}),
-    IndCoprod: ("scrutinee", {Inl: lambda t, e, s, se: (t.on_left, ((s.value, se),)),
-                              Inr: lambda t, e, s, se: (t.on_right, ((s.value, se),))}),
+    IndCoprod: ("scrutinee", {Inl: lambda t, e, s, se: (t.on_left, (_close(s.value, se),)),
+                              Inr: lambda t, e, s, se: (t.on_right, (_close(s.value, se),))}),
     IndEq: ("path", {Refl: lambda t, e, s, se: (t.center, ())}),
-    IndTrunc: ("scrutinee", {TruncIn: lambda t, e, s, se: (t.point, ((s.value, se),))}),
+    IndTrunc: ("scrutinee", {TruncIn: lambda t, e, s, se: (t.point, (_close(s.value, se),))}),
     IndW: ("scrutinee", {Tree: ("components", {Lambda: lambda t, e, s, se, c, ce: (
-        t.step, ((Lambda(c.domain, Rec(t, (c, ce), e)), ce), (c, ce), (s.shape, se)))})}),
+        t.step, ((Lambda(c.domain, Rec(t, (c, ce), e)), ce), (c, ce), _close(s.shape, se)))})}),
+}
+_STEPS = {App, Const, *IOTA}  # the heads that can step
+_UPDATE = ("", {})  # an update frame's rule, which contracts nothing
+# Constructor -> ``v``, itself on variables, with a value's fields as the cells they name, shared by each use
+_SHARED = {
+    Pair: lambda s, se, v=Pair(Var(1), Var(0)): (v, (_close(s.fst, se), _close(s.snd, se))),
+    Inl: lambda s, se, v=Inl(Var(0)): (v, (_close(s.value, se),)),
+    Inr: lambda s, se, v=Inr(Var(0)): (v, (_close(s.value, se),)),
+    TruncIn: lambda s, se, v=TruncIn(Var(0)): (v, (_close(s.value, se),)),
+    Tree: lambda s, se, v=Tree(Var(1), Var(0)): (v, (_close(s.shape, se), _close(s.components, se))),
 }
 
 
@@ -104,7 +120,12 @@ def _run(sig: Signature, t: Term, env: tuple, budget: ReductionBudget, unfold: b
     """Run the machine on ``t`` in ``env`` to a stuck head: ``(head, its env,
     args, frames)``, args the spine's closures (the next last), each frame
     ``(eliminator, its env, IOTA rule, args, frame below)``.  A constant unfolds
-    if something waits on it or ``unfold`` is set (``conv`` leaves it unset)."""
+    if something waits on it or ``unfold`` is set (``conv`` leaves it unset).
+    Entering a cell pushes an update frame, ``(cell, steps, _UPDATE, args, frame
+    below)``: the head reached with no args above it is the cell's value, a
+    constant too when ``unfold`` is unset, as what waits below decides whether
+    it unfolds.  Entering a forced cell continues at its value.  A state stuck
+    inside a forcing keeps its update frames, each read back as its args."""
     args, frames, tick = [], None, budget.tick
     while True:
         cls = type(t)
@@ -113,11 +134,25 @@ def _run(sig: Signature, t: Term, env: tuple, budget: ReductionBudget, unfold: b
             t = t.fn
             cls = type(t)
         if cls is Var and t.index < len(env):
-            t, env = env[-1 - t.index]
+            t = env[-1 - t.index]
+            if type(t) is tuple:  # else a cell, which sets its own env
+                t, env = t
             continue
         if cls is Lambda and args:
             tick()
             env, t = env + (args.pop(),), t.body
+            continue
+        if cls is Rec:
+            if t.value is not None:  # forced: charged again the steps its value took
+                t, env, steps = t.value
+                for _ in range(steps):
+                    tick()
+                continue
+            if type(t.elim) is not IndW:  # IndW's recursive call, applied under its lambda, is no cell
+                frames, args = (t, budget.steps_used, _UPDATE, args, frames), []
+            if t.elim is not None:
+                frames = (t.elim, t.env, IOTA[type(t.elim)], args, frames)
+            (t, env), args = t.scrutinee, [env[-1]] if type(t.elim) is IndW else []
             continue
         rule = IOTA.get(cls)
         if rule is None and frames is not None and not args:
@@ -137,17 +172,21 @@ def _run(sig: Signature, t: Term, env: tuple, budget: ReductionBudget, unfold: b
             frames = (t, env, rule, args, frames)
             t, args = getattr(t, rule[0]), []
             continue
-        if cls is Rec:
-            frames = (t.elim, t.env, IOTA[type(t.elim)], args, frames)
-            (t, env), args = t.scrutinee, [env[-1]] if type(t.elim) is IndW else []
-            continue
-        if cls is not Const or not (unfold or args or frames):
+        if cls is Const and (unfold or args or frames is not None and frames[2] is not _UPDATE):
+            decl = sig.lookup(t.name)
+            if decl is not None and decl.body is not None:
+                tick()
+                t, env = decl.body, ()
+                continue
+        if args or frames is None or frames[2] is not _UPDATE:
             break
-        decl = sig.lookup(t.name)
-        if decl is None or decl.body is None:
+        if cls in _SHARED:  # a constructor's fields become cells of the value
+            t, env = _SHARED[cls](t, env)
+        while not args and frames is not None and frames[2] is _UPDATE:  # the value of each cell forced here
+            cell, steps, _, args, frames = frames
+            cell.value = t, env, budget.steps_used - steps
+        if not args and frames is None:
             break
-        tick()
-        t, env = decl.body, ()
     return t, env, args, frames
 
 
@@ -155,7 +194,7 @@ def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False)
     """Weak head normal form, ``t`` itself when no step is taken: the machine's
     stuck state read back by ``_map_vars``, the one walker that maps indices to
     terms or to closures, each waiting eliminator around the term reached."""
-    if type(t) is not App and type(t) is not Const and type(t) not in IOTA:  # no other head can step
+    if type(t) not in _STEPS:
         return t
     steps = budget.steps_used
     head, env, args, frames = _run(sig, t, (), budget, unfold)
@@ -170,7 +209,8 @@ def whnf(sig: Signature, t: Term, budget: ReductionBudget, unfold: bool = False)
         if frames is None:
             return t
         elim, env, (field, _), args, frames = frames
-        t = type(elim)(*[t if name == field else read(getattr(elim, name), env, k) for name, k in elim.FIELDS])
+        if type(elim) is not Rec:  # a cell's update frame, which leaves its args
+            t = type(elim)(*[t if name == field else read(getattr(elim, name), env, k) for name, k in elim.FIELDS])
 
 
 def normalize(sig: Signature, t: Term, budget: ReductionBudget) -> Term:
@@ -195,7 +235,7 @@ def _normal(sig: Signature, t: Term, env: tuple, depth: int, budget: ReductionBu
             r = Var(depth - 1 - node)
         elif type(node) is Var:
             r = node if len(node_env) == depth else Var(node.index - len(node_env) + depth)
-        else:
+        elif type(node) is not Rec:  # a cell's update frame leaves its args
             parts = []  # a loop, not a comprehension: one frame per level
             for name, k in node.FIELDS:
                 part_env = ident[depth + k] if node_env is ident[depth] else node_env + ident[depth + k][depth:]

@@ -285,16 +285,18 @@ def loose(t: Term) -> int:
 
 
 class Rec:
-    """An ``IOTA`` reduct's recursive call: ``elim``, its fields read in ``env``,
-    waiting on the closure ``scrutinee`` (for ``IndW``, applied to the variable
-    bound last).  The machine enters it and ``_map_vars`` reads it back; it is
-    its own closure: it unpacks as ``(itself, env)``, as ``(term, env)`` does."""
+    """A closure of ``reduce``'s machine that can step, as a cell: the closure
+    ``scrutinee`` alone, or an ``IOTA`` reduct's recursive call, ``elim`` with
+    its fields read in ``env`` waiting on it (for ``IndW``, under its lambda
+    and applied to the variable bound last, no cell).  Forcing it writes
+    ``value``: ``(head, its env, steps)``.  It unpacks as ``(itself, env)``, as
+    a closure ``(term, env)`` does, and ``_map_vars`` reads back its closure."""
 
-    __slots__ = ("elim", "scrutinee", "env")
+    __slots__ = ("elim", "scrutinee", "env", "value")
     _loose = 2 * _OPEN  # no term around it is shared
 
-    def __init__(self, elim: Term, scrutinee: tuple, env: tuple):
-        self.elim, self.scrutinee, self.env = elim, scrutinee, env
+    def __init__(self, elim: Optional[Term], scrutinee: tuple, env: tuple):
+        self.elim, self.scrutinee, self.env, self.value = elim, scrutinee, env, None
 
     def __iter__(self):
         return iter((self, self.env))
@@ -336,9 +338,11 @@ def _map_vars(t: Term, cutoff: int, depth: int, args: Sequence, amount: int) -> 
                 t = App(t, a if (a := u.arg)._loose <= bound else _map_vars(a, cutoff, depth, args, amount))
         return t
     children = []
-    if cls is Rec:  # its eliminator, the scrutinee last: the closure read back as a variable bound to it
+    if cls is Rec:  # its closure, alone or as its eliminator's scrutinee, read back as a variable bound to it
         env, up = t.env, depth + amount + len(args)
         hole = _map_vars(Var(0), 0, 0, (t.scrutinee,), up - 1)
+        if t.elim is None:
+            return hole
         t, cls, limit = t.elim, type(t.elim), 0 if env or up else _OPEN
         for name, k in t.FIELDS[:-1]:  # a loop: a comprehension would make its locals cells of every call
             sub = getattr(t, name)

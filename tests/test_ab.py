@@ -23,7 +23,7 @@ def test_one_round_against_head_reports_every_workload():
     header, *rows = proc.stdout.splitlines()
     assert header.startswith("1 rounds, outputs and steps identical")
     assert {row.split()[0] for row in rows} == {"setup", "stdlib", "eval", "bulk"}
-    assert len(rows) == 13  # import_s, then verdict_s, item_ms.p50, item_ms.p90 and peak_mb per workload
+    assert len(rows) == 16  # import_s, then verdict_s, item_ms.p50, item_ms.p90, peak_mb and iota_done per workload
     assert all(re.search(r"  new/old \d+\.\d{3}  wins [01]/1$", row) for row in rows), rows
     peaks = {row.split()[0]: [float(row.split()[i]) for i in (3, 5)] for row in rows if row.split()[1] == "peak_mb"}
     assert set(peaks) == {"stdlib", "eval", "bulk"}

@@ -66,7 +66,7 @@ def test_every_core_definition_has_a_caller():
 # The trusted core's size, in lines as ``wc -l`` counts them.  Raising the
 # ceiling needs a reason recorded in CHANGES.md.
 CORE = ("terms.py", "reduce.py", "check.py")
-CORE_LINES = 1_100
+CORE_LINES = 1_144
 
 
 def test_trusted_core_stays_within_its_line_ceiling():

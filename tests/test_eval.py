@@ -9,7 +9,7 @@ from conftest import assert_formers, flat
 from hott import reduce
 from hott.check import check, infer
 from hott.loader import ProcessOptions, process_module
-from hott.parser import parse
+from hott.parser import parse, parse_expression, resolve_expr
 from hott.pretty import pretty
 from hott.reduce import IOTA, BudgetExhausted, ReductionBudget, conv, normalize, whnf
 from hott.terms import (
@@ -189,6 +189,10 @@ def _outcome(module, op, sig, t, max_steps=10_000_000):
 A1, A2, A3 = Var(1), Succ(Var(2)), Lambda(NAT, Var(1))
 LAM3 = Lambda(NAT, Lambda(NAT, Lambda(NAT, _apply(Var(3), Var(2), Var(1), Var(0)))))
 SUCC_K = EMPTY_SIGNATURE.extend(Declaration("k", Pi(NAT, NAT), Lambda(NAT, Succ(Var(0)))))
+# ``g`` is a postulate, and ``h`` unfolds to it
+G_H = EMPTY_SIGNATURE.extend(Declaration("g", Pi(NAT, Pi(NAT, NAT)), None)).extend(
+    Declaration("h", Pi(NAT, Pi(NAT, NAT)), Lambda(NAT, App(Const("g"), Var(0)))))
+G1 = App(Const("g"), numeral(1))
 
 # (signature, spine, whnf, steps)
 SPINES = {
@@ -199,6 +203,20 @@ SPINES = {
     "3 lambdas, 2 arguments": (
         SIG, _apply(LAM3, A1, A2),
         Lambda(NAT, _apply(Var(1), shift(A1, 0, 1), shift(A2, 0, 1), Var(0))), 2),
+    # a constant that the head forces: without ``unfold`` it is the value,
+    # as call by name leaves it when nothing waits on it
+    "forced constant": (SUCC_K, App(Lambda(Pi(NAT, NAT), Var(0)), Const("k")), Const("k"), 1),
+    # an argument that the head forces, stuck: the arguments below the
+    # forcing apply to the spine it is stuck on
+    "forced argument stuck": (G_H, App(Lambda(NAT, App(Var(0), numeral(2))), G1), App(G1, numeral(2)), 1),
+    "forced argument stuck after unfolding": (
+        G_H, App(Lambda(NAT, App(Var(0), numeral(2))), App(Const("h"), numeral(1))), App(G1, numeral(2)), 3),
+    "forced scrutinee stuck": (
+        G_H, App(Lambda(NAT, IndNat(NAT, ZERO, Var(0), App(Var(0), numeral(3)))), App(Const("h"), numeral(1))),
+        IndNat(NAT, ZERO, App(Const("h"), numeral(1)), App(G1, numeral(3))), 3),
+    "forcings nested, stuck": (
+        G_H, App(Lambda(NAT, App(Lambda(NAT, App(Var(1), Var(0))), App(Var(0), ZERO))), App(Const("h"), numeral(1))),
+        App(G1, _apply(Const("h"), numeral(1), ZERO)), 4),
 }
 
 
@@ -265,13 +283,29 @@ def test_open_spine_substitutes_in_a_loop():
 def test_budget_ladder_matches_reference(stdlib_sig):
     # Every budget short of the total runs out at the same step as the
     # reference's, which ticks once per beta, one application at a time.
-    t = _apply(Const("exp"), numeral(2), numeral(3))
-    value, total = _outcome(reduce, "normalize", stdlib_sig, t)
-    assert value == numeral(8)
-    for max_steps in range(total + 1):
-        got = _outcome(reduce, "normalize", stdlib_sig, t, max_steps)
-        assert got == _outcome(ref, "normalize", stdlib_sig, t, max_steps)
-        assert got == (("exhausted", max_steps + 1) if max_steps < total else (value, total))
+    # ``fib 6`` shares the fields of its pairs, so some budgets run out while
+    # a forced closure's steps are charged again.
+    for t in (_apply(Const("exp"), numeral(2), numeral(3)), App(Const("fib"), numeral(6))):
+        value, total = _outcome(reduce, "normalize", stdlib_sig, t)
+        assert value == numeral(8)
+        for max_steps in range(total + 1):
+            got = _outcome(reduce, "normalize", stdlib_sig, t, max_steps)
+            assert got == _outcome(ref, "normalize", stdlib_sig, t, max_steps)
+            assert got == (("exhausted", max_steps + 1) if max_steps < total else (value, total))
+
+
+def test_forced_argument_reads_back_as_written(stdlib_sig):
+    # ``x`` is forced as the scrutinee and left, as ``f``'s argument, in the
+    # stuck spine that ``whnf`` returns: it reads back as the closure it was,
+    # ``add 1 1``, not as its value.  Each call forces its own closures, so
+    # the same term costs the same steps again, whichever call came before.
+    sig = stdlib_sig.extend(Declaration("f", Pi(NAT, NAT), None))
+    t = resolve_expr(parse_expression(
+        r"(\(x : Nat). ind-nat (\(k : Nat). Nat) (f x) (\(k : Nat). \(y : Nat). y) x) (add 1 1)"), [], sig)
+    first = {op: _outcome(reduce, op, sig, t) for op in ("whnf", "whnf-unfold", "normalize")}
+    assert first["whnf"][0] == App(Const("f"), _apply(Const("add"), numeral(1), numeral(1)))
+    for op in ("normalize", "whnf", "whnf-unfold", "normalize", "whnf"):
+        assert _outcome(reduce, op, sig, t) == first[op] == _outcome(ref, op, sig, t), op
 
 
 # Opaque fields: variables, so that every reduct below is itself stuck.
