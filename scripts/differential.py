@@ -28,11 +28,14 @@ used.  The families:
   first k arguments, for every k up to its arity, each argument a fresh
   postulate of the domain its type has there, with ``infer`` and ``whnf``
   with ``unfold`` of each.
-- ``reduce``: ``whnf`` (with and without ``unfold``), ``normalize`` and
-  ``conv`` on the same populations and on stdlib arithmetic; and a budget
-  ladder: ``normalize`` and ``whnf`` with ``unfold`` of ten arithmetic
-  spines at every ``max_steps`` from 0 to the steps each takes, so that
-  every point where a budget runs out is compared.
+- ``reduce``: first, ``whnf`` without ``unfold`` of each stdlib
+  definition ``c : T`` forced through a cell, ``(\\(x : T). x) c``, which
+  must leave ``c`` folded; then ``whnf`` (with and without ``unfold``),
+  ``normalize`` and ``conv`` on the same populations as ``kernel`` and on
+  stdlib arithmetic; and a budget ladder: ``normalize`` and ``whnf`` with
+  ``unfold`` of ten arithmetic spines at every ``max_steps`` from 0 to the
+  steps each takes, so that every point where a budget runs out is
+  compared.
 - ``fail``: each ``tests/negative/`` file over the stdlib, its other
   items run with ``execute``: for each ``#fail`` item, the rule that
   ``attempt_item`` reports for the item it wraps.
@@ -399,9 +402,14 @@ def _reductions(sig, label: str, t, max_steps: Optional[int] = None) -> Iterator
 
 
 def reduce_probes() -> Iterator[Probe]:
-    from hott.reduce import ReductionBudget, conv, normalize
-    from hott.terms import EMPTY_SIGNATURE, App, Const, numeral
+    from hott.reduce import ReductionBudget, conv, normalize, whnf
+    from hott.terms import EMPTY_SIGNATURE, App, Const, Lambda, Var, numeral
 
+    sig = _stdlib_signature()
+    for decl in sig.declarations:  # first, so that a run limited to a few probes per family has some
+        if decl.body is not None:
+            forced = App(Lambda(decl.type, Var(0)), Const(decl.name))
+            yield f"forced {decl.name} whnf", _outcome(whnf, sig, forced)
     buckets: dict = {}
     for i, (t, ty) in enumerate(_population()):
         yield from _reductions(EMPTY_SIGNATURE, f"population {i}", t)
@@ -418,7 +426,6 @@ def reduce_probes() -> Iterator[Probe]:
             yield f"random {seed} conv previous", _outcome(
                 conv, EMPTY_SIGNATURE, t, previous, max_steps=RANDOM_MAX_STEPS)
         previous = t
-    sig = _stdlib_signature()
     rng = random.Random(11)
     for i in range(200):
         name = rng.choice(sorted(ARITHMETIC))

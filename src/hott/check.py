@@ -343,9 +343,7 @@ def check(
 
     got = infer(sig, ctx, t, budget)
     if not conv(sig, got, want, budget):
-        rule = "universe-mismatch" if isinstance(got, Universe) and isinstance(want, Universe) \
-            else "type-mismatch"
-        raise CheckError(rule, "inferred type does not match expected type",
+        raise CheckError("type-mismatch", "inferred type does not match expected type",
                          found=got, expected=want, context=ctx)
 
 

@@ -49,7 +49,6 @@ from .terms import (
     Term,
     Tree,
     TruncIn,
-    Universe,
     Var,
     Zero,
     _map_vars,
@@ -106,14 +105,8 @@ IOTA: dict[type, tuple[str, dict]] = {
 }
 _STEPS = {App, Const, *IOTA}  # the heads that can step
 _UPDATE = ("", {})  # an update frame's rule, which contracts nothing
-# Constructor -> ``v``, itself on variables, with a value's fields as the cells they name, shared by each use
-_SHARED = {
-    Pair: lambda s, se, v=Pair(Var(1), Var(0)): (v, (_close(s.fst, se), _close(s.snd, se))),
-    Inl: lambda s, se, v=Inl(Var(0)): (v, (_close(s.value, se),)),
-    Inr: lambda s, se, v=Inr(Var(0)): (v, (_close(s.value, se),)),
-    TruncIn: lambda s, se, v=TruncIn(Var(0)): (v, (_close(s.value, se),)),
-    Tree: lambda s, se, v=Tree(Var(1), Var(0)): (v, (_close(s.shape, se), _close(s.components, se))),
-}
+# Constructor -> ``v``, itself on variables, which bind a value's fields as the cells they name, shared by each use
+_SHARED = {cls: cls(*(Var(i) for i in reversed(range(len(cls.FIELDS))))) for cls in (Pair, Inl, Inr, TruncIn, Tree)}
 
 
 def _run(sig: Signature, t: Term, env: tuple, budget: ReductionBudget, unfold: bool):
@@ -180,8 +173,8 @@ def _run(sig: Signature, t: Term, env: tuple, budget: ReductionBudget, unfold: b
                 continue
         if args or frames is None or frames[2] is not _UPDATE:
             break
-        if cls in _SHARED:  # a constructor's fields become cells of the value
-            t, env = _SHARED[cls](t, env)
+        if cls in _SHARED:  # a constructor's fields become cells of the value; ``u, e``: no closure over ``t, env``
+            t, env = _SHARED[cls], tuple([_close(getattr(u, name), e) for u, e in [(t, env)] for name, _ in u.FIELDS])
         while not args and frames is not None and frames[2] is _UPDATE:  # the value of each cell forced here
             cell, steps, _, args, frames = frames
             cell.value = t, env, budget.steps_used - steps
@@ -257,9 +250,9 @@ def conv(sig: Signature, t1: Term, t2: Term, budget: ReductionBudget) -> bool:
     """Decide judgmental equality of two terms of a common type.
 
     Both sides are reduced to WHNF and compared head-first; when exactly
-    one side is a lambda the other is eta-expanded.  Equal-named constants
-    compare equal without unfolding; unfolding happens only on head
-    mismatch.
+    one side is a lambda the other is eta-expanded.  Equal terms, equal-named
+    constants among them, compare equal by ``==`` without unfolding, before
+    ``whnf`` and again after it; unfolding happens only on head mismatch.
     """
     if t1 == t2:
         return True
@@ -272,23 +265,14 @@ def conv(sig: Signature, t1: Term, t2: Term, budget: ReductionBudget) -> bool:
             break
         t1, t2 = a.pred, b.pred  # matching Succ heads, unequal: compare the predecessors
 
-    if type(a) is type(b):
-        if isinstance(a, Const):
-            # Same name is definitionally reflexive; different names fall
-            # through to delta below.
-            if a.name == b.name:
-                return True
-        elif isinstance(a, (Var, Universe)):
-            return a == b
-        elif isinstance(a, Lambda):
-            # The common type forces the domains; compare bodies.
+    if type(a) is type(b) and a.FIELDS:  # a != b: compare the parts; unequal leaves fall through to eta and delta
+        if isinstance(a, Lambda):  # the common type forces the domains; compare bodies
             return conv(sig, a.body, b.body, budget)
-        else:  # one former, so as many subterms on each side
-            return all(conv(sig, x, y, budget) for (x, _), (y, _) in zip(subterms(a), subterms(b)))
+        return all(conv(sig, x, y, budget) for (x, _), (y, _) in zip(subterms(a), subterms(b)))
 
-    if isinstance(a, Lambda) and not isinstance(b, Lambda):
+    if isinstance(a, Lambda):
         return conv(sig, a.body, App(shift(b, 0, 1), Var(0)), budget)
-    if isinstance(b, Lambda) and not isinstance(a, Lambda):
+    if isinstance(b, Lambda):
         return conv(sig, App(shift(a, 0, 1), Var(0)), b.body, budget)
 
     body = _unfold(sig, a)

@@ -447,5 +447,8 @@ def test_deep_numeral_prints():
     # non-dependent Pi or of a binding field that prints as its function
     assert pretty(Pi(NAT, Var(3))) == "Nat -> !2"
     assert pretty(IndNat(App(Var(4), Var(0)), ZERO, Var(2), Var(7))) == "ind-nat !3 0 !2 !7"
+    # a binding field whose function uses its own variable prints as a lambda
+    assert pretty(IndNat(App(App(Const("P"), Var(0)), Var(0)), ZERO, Const("s"), ZERO)) \
+        == "ind-nat (\\(x0 : Nat). P x0 x0) 0 s 0"
     assert pretty(W(NAT, App(Pi(NAT, Var(3)), Var(0))), ["a", "b"]) == "W Nat (Nat -> a)"
     assert pretty(Lambda(NAT, Pi(NAT, Pi(Var(0), Var(5)))), ["a"]) == "\\(x0 : Nat). (x1 : Nat) -> x1 -> !4"

@@ -41,6 +41,8 @@ EXPECTED_RULES = {
     ("rejections.hott", 104): "Trunc-intro",
     ("rejections.hott", 107): "not-a-type",
     ("rejections.hott", 110): "type-mismatch",
+    ("rejections.hott", 114): "type-mismatch",
+    ("rejections.hott", 118): "type-mismatch",
 }
 
 # A failed premise of an eliminator or of tree is reported under the

@@ -91,6 +91,8 @@ def test_shift_underflow_is_kernel_bug():
 def test_numerals():
     assert as_int(numeral(7)) == 7
     assert as_int(Succ(Var(0))) is None
+    with pytest.raises(ValueError):
+        numeral(-1)
 
 
 def test_context_lookup_shifts():
